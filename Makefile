@@ -89,7 +89,7 @@ DTNBENCH_REQUIRE_SMOKE = BenchmarkDTNDelivery/world=bus/strategy=epidemic/device
 DTNBENCH_REQUIRE = $(DTNBENCH_REQUIRE_SMOKE),BenchmarkDTNDelivery/world=bus/strategy=social/engine=des/devices=200
 DTNBENCH_RATIO   = BenchmarkDTNDelivery/world=bus/strategy=epidemic/devices=200:BenchmarkDTNDelivery/world=bus/strategy=social/devices=200:2:copies/delivered,BenchmarkDTNDelivery/world=campus/strategy=epidemic/devices=200:BenchmarkDTNDelivery/world=campus/strategy=social/devices=200:1.3:copies/delivered
 
-.PHONY: verify build vet phvet vet-baseline test race chaos fuzz bench bench-json bench-smoke
+.PHONY: verify build vet phvet vet-baseline test race chaos fuzz bench bench-json bench-smoke perfbench-smoke
 
 verify: build vet phvet race chaos fuzz bench-smoke
 
@@ -173,3 +173,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -short -bench '$(DTNBENCH_PATTERN)' -benchtime 1x . > bench-smoke.out
 	$(GO) run ./cmd/benchjson -o /dev/null -require '$(DTNBENCH_REQUIRE_SMOKE)' < bench-smoke.out
 	rm -f bench-smoke.out
+
+# perfbench-smoke runs every workload of the repository benchmark
+# (perfbench/, see BENCHMARK.json) for one measured second at seed 1
+# and fails on any non-zero exit: a workload that no longer builds,
+# sets up or passes its output checks. At seed 1 discovery-sweep also
+# checks its committed trace hash, event, group and delivery counts, so
+# a hot-path change that reorders events fails here, before any timing
+# comparison.
+PERFBENCH_WORKLOADS = discovery-sweep gossip-converge dtn-courier community-sessions
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done

@@ -42,7 +42,6 @@
 package des
 
 import (
-	"container/heap"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -103,10 +102,12 @@ type Scheduler struct {
 	doneCh  chan struct{}
 }
 
-// shard is one home-partitioned event queue.
+// shard is one home-partitioned event queue. batch is the buffer the
+// run loop pops a pass's events into, reused from pass to pass.
 type shard struct {
-	mu sync.Mutex
-	q  eventHeap
+	mu    sync.Mutex
+	q     eventHeap
+	batch []event
 }
 
 // event is one scheduled closure. The key (at, tie, home, seq) is the
@@ -140,19 +141,59 @@ func (e *event) less(o *event) bool {
 	return e.seq < o.seq
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events stored inline, ordered by
+// event.less. push and pop walk the same parent/child paths and make
+// the same comparisons as container/heap's Push and Pop, so the queue
+// takes the same shape and pops in the same order; they move the
+// sifting event through a hole instead of swapping it level by level,
+// and a scheduled event costs no allocation of its own.
+type eventHeap []event
 
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].less(h[j]) }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)         { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// push adds e and sifts it up.
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !e.less(&q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = e
+}
+
+// pop removes and returns the least event: the last event takes the
+// root's place and sifts down.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, x := q[0], q[n]
+	q[n] = event{} // drop the closures for the collector
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].less(&q[j]) {
+			j = r // right child
+		}
+		if !q[j].less(&x) {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = x
+	return top
 }
 
 // Ctx is the execution context handed to every event. Scheduling
@@ -305,7 +346,7 @@ func (s *Scheduler) schedule(d time.Duration, home, seq uint64, fn func(ctx *Ctx
 		d = 0
 	}
 	at := s.nowNS.Load() + int64(d)
-	e := &event{
+	e := event{
 		at:      at,
 		tie:     splitmix64(s.seed ^ splitmix64(home)*0x9e3779b97f4a7c15 ^ seq),
 		home:    home,
@@ -315,7 +356,7 @@ func (s *Scheduler) schedule(d time.Duration, home, seq uint64, fn func(ctx *Ctx
 	}
 	sh := s.shards[home%uint64(len(s.shards))]
 	sh.mu.Lock()
-	heap.Push(&sh.q, e)
+	sh.q.push(e)
 	sh.mu.Unlock()
 	s.pending.Add(1)
 	s.Bump()
@@ -409,20 +450,25 @@ func (s *Scheduler) runWindow() {
 		}
 		s.foldTrace(batches)
 		s.executeBarrier(batches)
+		for _, batch := range batches {
+			clear(batch) // drop the run closures before the buffers idle
+		}
 	}
 }
 
 // collectAt pops every event scheduled at instant t, one ordered batch
-// per shard (only non-empty batches are returned).
-func (s *Scheduler) collectAt(t int64) [][]*event {
-	var batches [][]*event
+// per shard (only non-empty batches are returned). A batch lives in
+// its shard's reused buffer, so it is valid until the next collectAt.
+func (s *Scheduler) collectAt(t int64) [][]event {
+	var batches [][]event
 	popped := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		var batch []*event
+		batch := sh.batch[:0]
 		for len(sh.q) > 0 && sh.q[0].at == t {
-			batch = append(batch, heap.Pop(&sh.q).(*event))
+			batch = append(batch, sh.q.pop())
 		}
+		sh.batch = batch
 		sh.mu.Unlock()
 		if len(batch) > 0 {
 			popped += len(batch)
@@ -439,7 +485,7 @@ func (s *Scheduler) collectAt(t int64) [][]*event {
 // order) into the canonical global order and folds their keys into the
 // trace hash. The merge ignores which shard a batch came from — only
 // the key decides — so the hash is shard-count-invariant.
-func (s *Scheduler) foldTrace(batches [][]*event) {
+func (s *Scheduler) foldTrace(batches [][]event) {
 	idx := make([]int, len(batches))
 	h := s.trace.Load()
 	total := 0
@@ -449,14 +495,14 @@ func (s *Scheduler) foldTrace(batches [][]*event) {
 			if idx[i] >= len(batch) {
 				continue
 			}
-			if best < 0 || batch[idx[i]].less(batches[best][idx[best]]) {
+			if best < 0 || batch[idx[i]].less(&batches[best][idx[best]]) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		e := batches[best][idx[best]]
+		e := &batches[best][idx[best]]
 		idx[best]++
 		total++
 		h = fnv1a(h, uint64(e.at))
@@ -478,7 +524,7 @@ func (s *Scheduler) foldTrace(batches [][]*event) {
 // poolless scheduler — runs inline, byte-for-byte the sequential
 // semantics. A panicking event is captured so every executor still
 // reaches the barrier, then rethrown on the run loop.
-func (s *Scheduler) executeBarrier(batches [][]*event) {
+func (s *Scheduler) executeBarrier(batches [][]event) {
 	var pan panicCell
 	if len(batches) == 1 || s.jobs == nil {
 		for _, batch := range batches {
@@ -513,9 +559,10 @@ func (s *Scheduler) executeBarrier(batches [][]*event) {
 
 // runBatch executes one shard batch in key order; a panic skips the
 // batch's remaining events and is parked in pan for the run loop.
-func (s *Scheduler) runBatch(batch []*event, pan *panicCell) {
+func (s *Scheduler) runBatch(batch []event, pan *panicCell) {
 	defer pan.capture()
-	for _, e := range batch {
+	for i := range batch {
+		e := &batch[i]
 		ctx := &Ctx{s: s, home: e.home, seq: e.seq}
 		if e.fn != nil {
 			e.fn(ctx)
@@ -535,8 +582,8 @@ func (s *Scheduler) drainReleases() {
 		sh.q = nil
 		sh.mu.Unlock()
 		s.pending.Add(int64(-len(q)))
-		for _, e := range q {
-			if e.release != nil {
+		for i := range q {
+			if e := &q[i]; e.release != nil {
 				e.release()
 			}
 		}

@@ -38,7 +38,7 @@ func (n *Network) SubscribeBroadcast(dev ids.DeviceID, port string) (*BroadcastS
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return nil, ErrNetworkClosed
 	}
 	key := portKey{dev: dev, port: port}
@@ -97,7 +97,7 @@ func (n *Network) SendBroadcast(from ids.DeviceID, tech radio.Technology, port s
 		return 0, fmt.Errorf("netsim: broadcast: %w: %q", radio.ErrUnknownDevice, from)
 	}
 	n.mu.Lock()
-	if n.closed {
+	if n.closed.Load() {
 		n.mu.Unlock()
 		return 0, ErrNetworkClosed
 	}
@@ -141,7 +141,7 @@ func (n *Network) SendBroadcast(from ids.DeviceID, tech radio.Technology, port s
 		reach[dev] = true
 	}
 	n.mu.Lock()
-	closed := n.closed
+	closed := n.closed.Load()
 	parted := make(map[devPair]bool, len(n.partitioned))
 	for p := range n.partitioned {
 		parted[p] = true

@@ -30,6 +30,11 @@ type Conn struct {
 	tech   radio.Technology
 	port   string
 
+	// lslot and rslot are the local and remote devices' radio slots,
+	// resolved once when the pair is built; every link check and
+	// airtime charge on the conn goes through them.
+	lslot, rslot radio.Slot
+
 	// connSeq numbers this connection on its directed dialer pair; with
 	// the pump's per-message index it keys the deterministic fault
 	// draws. Both ends share the value.
@@ -131,16 +136,16 @@ func drainQ(q chan []byte) {
 // allocation profile at scale, and the big pieces — the transmit and
 // receive queues, the admission semaphores, the reorder maps — are
 // engine-invariant and survive from one incarnation to the next.
-func newConnPair(n *Network, from, to ids.DeviceID, tech radio.Technology, port string) (*Conn, *Conn) {
-	seq := n.nextConnSeq(from, to)
+func newConnPair(n *Network, from, to ids.DeviceID, fs, ts radio.Slot, tech radio.Technology, port string) (*Conn, *Conn) {
+	seq := n.nextConnSeq(fs, ts)
 	p, _ := n.pairPool.Get().(*connPair)
 	fresh := p == nil
 	if fresh {
 		p = &connPair{}
 	}
 	a, b := &p.ends[0], &p.ends[1]
-	a.reset(n, p, from, to, tech, port, seq)
-	b.reset(n, p, to, from, tech, port, seq)
+	a.reset(n, p, from, to, fs, ts, tech, port, seq)
+	b.reset(n, p, to, from, ts, fs, tech, port, seq)
 	a.peer, b.peer = b, a
 	p.refs.Store(2) // one user hold per end
 	if n.sched != nil {
@@ -167,9 +172,10 @@ func newConnPair(n *Network, from, to ids.DeviceID, tech radio.Technology, port 
 // across incarnations (drained at recycle) — they are the bulk of a
 // pair's allocation cost; the closed channel must be fresh, since the
 // previous incarnation's has fired.
-func (c *Conn) reset(n *Network, p *connPair, local, remote ids.DeviceID, tech radio.Technology, port string, seq uint64) {
+func (c *Conn) reset(n *Network, p *connPair, local, remote ids.DeviceID, lslot, rslot radio.Slot, tech radio.Technology, port string, seq uint64) {
 	c.net, c.pair = n, p
 	c.local, c.remote, c.tech, c.port, c.connSeq = local, remote, tech, port, seq
+	c.lslot, c.rslot = lslot, rslot
 	c.err = nil
 	c.closing = false
 	c.closed = make(chan struct{})
@@ -428,7 +434,7 @@ func (c *Conn) pump() {
 			// Hold the sender's radio for the transfer (and for every
 			// retransmission): connections sharing one device radio
 			// contend for airtime.
-			tx := c.net.txLock(c.local, c.tech)
+			tx := c.net.txLock(c.lslot, c.tech)
 			for charge := 0; charge <= fate.Retransmits; charge++ {
 				tx.Lock()
 				c.net.sleepModeled(transfer)
@@ -450,7 +456,7 @@ func (c *Conn) pump() {
 				msg = plan.Corrupt(msg, c.local, c.remote, c.connSeq, msgSeq)
 				c.net.counters.messagesCorrupted.Add(1)
 			}
-			if !c.net.linkUp(c.local, c.remote, c.tech) {
+			if !c.linkUp() {
 				c.pending.Done()
 				c.net.counters.linkFailures.Add(1)
 				c.failBoth(fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))

@@ -123,15 +123,18 @@ func (d *desConnState) drain() {
 // desAirFree advances the (device, technology) airtime ledger: the
 // returned start is when the radio frees (or now, if idle), and the
 // radio is then held for busy beyond it.
-func (n *Network) desAirFree(dev ids.DeviceID, tech radio.Technology, now int64, busy time.Duration) (start int64) {
-	key := txKey{dev: dev, tech: tech}
+func (n *Network) desAirFree(dev radio.Slot, tech radio.Technology, now int64, busy time.Duration) (start int64) {
+	i := radioIndex(dev, tech)
 	n.airMu.Lock()
 	defer n.airMu.Unlock()
-	start = n.airFree[key]
+	if i >= len(n.airFree) {
+		n.airFree = append(n.airFree, make([]int64, i+1-len(n.airFree))...)
+	}
+	start = n.airFree[i]
 	if start < now {
 		start = now
 	}
-	n.airFree[key] = start + int64(busy)
+	n.airFree[i] = start + int64(busy)
 	return start
 }
 
@@ -210,7 +213,7 @@ func (c *Conn) desLaunch(msg []byte, at func(d time.Duration, home uint64, fn fu
 	// The pump's shape: stall first (not holding the radio), then the
 	// radio for every charge, then the fate's extra delay.
 	ready := now + int64(scale.ToReal(stall))
-	txStart := c.net.desAirFree(c.local, c.tech, ready, busy)
+	txStart := c.net.desAirFree(c.lslot, c.tech, ready, busy)
 	deliverAt := txStart + int64(busy) + int64(scale.ToReal(fate.Delay))
 	if deliverAt <= d.dirFree {
 		deliverAt = d.dirFree + 1
@@ -257,7 +260,7 @@ func (c *Conn) desDeliver(ctx *des.Ctx, m *desMsg) {
 		m.payload = m.plan.Corrupt(m.payload, c.local, c.remote, c.connSeq, m.seq)
 		n.counters.messagesCorrupted.Add(1)
 	}
-	if !n.linkUp(c.local, c.remote, c.tech) {
+	if !c.linkUp() {
 		c.desAbandon()
 		n.counters.linkFailures.Add(1)
 		c.desTeardown(ctx, fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
@@ -466,23 +469,15 @@ func (c *Conn) desDrainReceiver() {
 // connection dies (trackConn re-arms it for the next one).
 func (n *Network) desSweepEvent(ctx *des.Ctx) {
 	n.mu.Lock()
-	if n.closed || len(n.conns) == 0 {
+	if n.closed.Load() || len(n.conns) == 0 {
 		n.sweeping = false
 		n.mu.Unlock()
 		return
 	}
-	live := make([]*Conn, 0, len(n.conns))
-	for c := range n.conns {
-		// Holding the pair across the unlocked check below: a tracked
-		// conn always has its user holds outstanding, so the ref can
-		// never resurrect a recycled pair.
-		c.pair.ref()
-		live = append(live, c)
-	}
-	sortConnsDet(live)
+	live := n.holdConnsLocked()
 	n.mu.Unlock()
 	for _, c := range live {
-		if !n.linkUp(c.local, c.remote, c.tech) {
+		if !c.linkUp() {
 			n.counters.linkFailures.Add(1)
 			c.desTeardown(ctx, fmt.Errorf("%w: %s <-> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
 		}

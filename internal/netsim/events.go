@@ -58,28 +58,29 @@ func (n *Network) DialEvent(ctx *des.Ctx, from, to ids.DeviceID, tech radio.Tech
 		fn(ctx, nil, fmt.Errorf("netsim: dial: invalid technology %v", tech))
 		return
 	}
-	if !n.linkUp(from, to, tech) {
+	fs, ts, known := n.dialSlots(from, to, port)
+	if !known || !n.slotLinkUp(from, to, fs, ts, tech) {
 		fn(ctx, nil, fmt.Errorf("%w: %s -> %s over %v", ErrUnreachable, from, to, tech))
 		return
 	}
 	setup := n.env.Scale().ToReal(n.env.PHY(tech).ConnectSetup)
 	ctx.At(setup, homeOf(from), func(ctx *des.Ctx) {
-		n.finishDialEvent(ctx, from, to, tech, port, fn)
+		n.finishDialEvent(ctx, from, to, fs, ts, tech, port, fn)
 	})
 }
 
 // finishDialEvent is the setup-complete half of DialEvent: link
 // recheck (the peer may have walked away while paging), listener
 // lookup, pair construction, accept handoff.
-func (n *Network) finishDialEvent(ctx *des.Ctx, from, to ids.DeviceID, tech radio.Technology, port string, fn func(ctx *des.Ctx, c *Conn, err error)) {
+func (n *Network) finishDialEvent(ctx *des.Ctx, from, to ids.DeviceID, fs, ts radio.Slot, tech radio.Technology, port string, fn func(ctx *des.Ctx, c *Conn, err error)) {
 	n.sched.Bump()
-	if !n.linkUp(from, to, tech) {
+	if !n.slotLinkUp(from, to, fs, ts, tech) {
 		fn(ctx, nil, fmt.Errorf("%w: %s -> %s over %v (lost during setup)", ErrUnreachable, from, to, tech))
 		return
 	}
 	n.mu.Lock()
 	l, ok := n.listeners[portKey{dev: to, port: port}]
-	closed := n.closed
+	closed := n.closed.Load()
 	n.mu.Unlock()
 	if closed {
 		fn(ctx, nil, ErrNetworkClosed)
@@ -89,7 +90,7 @@ func (n *Network) finishDialEvent(ctx *des.Ctx, from, to ids.DeviceID, tech radi
 		fn(ctx, nil, fmt.Errorf("%w: %s on %s", ErrNoListener, port, to))
 		return
 	}
-	local, remote := newConnPair(n, from, to, tech, port)
+	local, remote := newConnPair(n, from, to, fs, ts, tech, port)
 	accept := l.acceptHandler()
 	if accept == nil {
 		// No event handler: fall back to the Accept queue, but an event

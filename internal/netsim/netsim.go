@@ -57,9 +57,15 @@ type Network struct {
 	partitioned map[devPair]bool
 	lossRate    float64
 	rng         *rand.Rand
-	closed      bool
 	conns       map[*Conn]bool // one end per live pair, for sweep + Close teardown
 	sweeping    bool           // a sweepLinks goroutine is running
+
+	// closed and parts mirror, for the lock-free link check, whether
+	// the network is closed and how many partitions are installed; both
+	// are written under mu. While parts is zero a link check never
+	// touches mu.
+	closed atomic.Bool
+	parts  atomic.Int32
 
 	// sweepWake (capacity 1) nudges the link sweeper out of its timer
 	// wait when the network closes or the last connection dies, so the
@@ -73,16 +79,17 @@ type Network struct {
 	// atomic read.
 	plan atomic.Pointer[faults.Plan]
 
-	// pairSeq numbers connections per directed (dialer, listener) pair;
-	// the sequence plus a per-connection message index keys every
-	// deterministic fault draw. Guarded by mu.
-	pairSeq map[dirPair]uint64
+	// pairSeq numbers connections per directed (dialer, listener) pair
+	// of device slots (dirPairKey); the sequence plus a per-connection
+	// message index keys every deterministic fault draw. Guarded by mu.
+	pairSeq map[uint64]uint64
 
-	// txLocks serializes transmissions per (device, technology): a
-	// radio is a shared medium, so two connections sending from the
-	// same device over the same technology contend for airtime.
+	// txLocks serializes transmissions per (device, technology), indexed
+	// by radioIndex: a radio is a shared medium, so two connections
+	// sending from the same device over the same technology contend for
+	// airtime. Grown on demand under txMu.
 	txMu    sync.Mutex
-	txLocks map[txKey]*sync.Mutex
+	txLocks []*sync.Mutex
 
 	// sched selects the engine: nil runs the goroutine engine (conn
 	// pumps + sweepLinks goroutine); non-nil runs the discrete-event
@@ -92,10 +99,11 @@ type Network struct {
 	sched *des.Scheduler
 
 	// airFree is the event engine's per-(device, technology) airtime
-	// ledger — the virtual instant each radio frees — standing in for
-	// txLocks, which serialize goroutines the event engine doesn't have.
+	// ledger, indexed by radioIndex — the virtual instant each radio
+	// frees — standing in for txLocks, which serialize goroutines the
+	// event engine doesn't have. Grown on demand under airMu.
 	airMu   sync.Mutex
-	airFree map[txKey]int64
+	airFree []int64
 
 	// pairPool recycles connPair allocations (conn.go): at scale the
 	// dial/close churn of discovery rounds dominated the allocation
@@ -104,22 +112,24 @@ type Network struct {
 	pairPool sync.Pool
 }
 
-type txKey struct {
-	dev  ids.DeviceID
-	tech radio.Technology
+// radioIndex addresses one device radio — a (device slot, technology)
+// pair — in the dense per-radio ledgers.
+func radioIndex(dev radio.Slot, tech radio.Technology) int {
+	return int(dev)*(int(radio.GPRS)+1) + int(tech)
 }
 
 // txLock returns the transmit mutex for a device radio.
-func (n *Network) txLock(dev ids.DeviceID, tech radio.Technology) *sync.Mutex {
+func (n *Network) txLock(dev radio.Slot, tech radio.Technology) *sync.Mutex {
 	n.txMu.Lock()
 	defer n.txMu.Unlock()
-	key := txKey{dev: dev, tech: tech}
-	l, ok := n.txLocks[key]
-	if !ok {
-		l = &sync.Mutex{}
-		n.txLocks[key] = l
+	i := radioIndex(dev, tech)
+	if i >= len(n.txLocks) {
+		n.txLocks = append(n.txLocks, make([]*sync.Mutex, i+1-len(n.txLocks))...)
 	}
-	return l
+	if n.txLocks[i] == nil {
+		n.txLocks[i] = &sync.Mutex{}
+	}
+	return n.txLocks[i]
 }
 
 type portKey struct {
@@ -131,11 +141,11 @@ type devPair struct {
 	a, b ids.DeviceID
 }
 
-// dirPair is a direction-preserving device pair: connection sequence
-// numbers are per dialing direction so that two peers dialing each
-// other concurrently cannot perturb each other's fault draws.
-type dirPair struct {
-	from, to ids.DeviceID
+// dirPairKey is a direction-preserving device pair: connection
+// sequence numbers are per dialing direction so that two peers dialing
+// each other concurrently cannot perturb each other's fault draws.
+func dirPairKey(from, to radio.Slot) uint64 {
+	return uint64(uint32(from))<<32 | uint64(uint32(to))
 }
 
 func normPair(a, b ids.DeviceID) devPair {
@@ -154,10 +164,9 @@ func New(env *radio.Environment, seed int64) *Network {
 		subscribers: make(map[portKey][]*BroadcastSub),
 		partitioned: make(map[devPair]bool),
 		rng:         rand.New(rand.NewSource(seed)),
-		txLocks:     make(map[txKey]*sync.Mutex),
 		conns:       make(map[*Conn]bool),
 		sweepWake:   make(chan struct{}, 1),
-		pairSeq:     make(map[dirPair]uint64),
+		pairSeq:     make(map[uint64]uint64),
 	}
 }
 
@@ -171,7 +180,6 @@ func New(env *radio.Environment, seed int64) *Network {
 func NewDES(env *radio.Environment, seed int64, sched *des.Scheduler) *Network {
 	n := New(env, seed)
 	n.sched = sched
-	n.airFree = make(map[txKey]int64)
 	return n
 }
 
@@ -214,10 +222,10 @@ func sortConnsDet(conns []*Conn) {
 }
 
 // nextConnSeq numbers a new connection on its directed dialer pair.
-func (n *Network) nextConnSeq(from, to ids.DeviceID) uint64 {
+func (n *Network) nextConnSeq(from, to radio.Slot) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	key := dirPair{from: from, to: to}
+	key := dirPairKey(from, to)
 	n.pairSeq[key]++
 	return n.pairSeq[key]
 }
@@ -227,9 +235,14 @@ func (n *Network) nextConnSeq(from, to ids.DeviceID) uint64 {
 // Session-keyed fault draws (faults.Plan.SessionStalled) are pure in
 // this number, so tests use it to pick seeds with known session fates.
 func (n *Network) ConnSeq(from, to ids.DeviceID) uint64 {
+	fs, okF := n.env.SlotOf(from)
+	ts, okT := n.env.SlotOf(to)
+	if !okF || !okT {
+		return 0 // never added, so never dialed
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.pairSeq[dirPair{from: from, to: to}]
+	return n.pairSeq[dirPairKey(fs, ts)]
 }
 
 // Environment returns the underlying radio environment.
@@ -241,19 +254,12 @@ func (n *Network) Environment() *radio.Environment { return n.env }
 // closed network leaves nothing running.
 func (n *Network) Close() {
 	n.mu.Lock()
-	n.closed = true
+	n.closed.Store(true)
 	for _, l := range n.listeners {
 		l.closeLocked()
 	}
 	n.listeners = make(map[portKey]*Listener)
-	live := make([]*Conn, 0, len(n.conns))
-	for c := range n.conns {
-		// Hold each pair across the unlocked teardown below; a tracked
-		// conn still has its user holds, so the ref is always live.
-		c.pair.ref()
-		live = append(live, c)
-	}
-	sortConnsDet(live)
+	live := n.holdConnsLocked()
 	n.conns = make(map[*Conn]bool)
 	n.kickSweeperLocked()
 	n.mu.Unlock()
@@ -270,7 +276,7 @@ func (n *Network) Close() {
 func (n *Network) trackConn(c *Conn) {
 	n.mu.Lock()
 	n.conns[c] = true
-	start := !n.sweeping && !n.closed
+	start := !n.sweeping && !n.closed.Load()
 	if start {
 		n.sweeping = true
 	}
@@ -294,6 +300,20 @@ func (n *Network) dropConn(c *Conn) {
 		n.kickSweeperLocked()
 	}
 	n.mu.Unlock()
+}
+
+// holdConnsLocked returns the tracked conns in sortConnsDet order, each
+// with a pair hold the caller drops after its unlocked walk: a tracked
+// conn always has its user holds outstanding, so the ref can never
+// resurrect a recycled pair. Callers hold n.mu.
+func (n *Network) holdConnsLocked() []*Conn {
+	live := make([]*Conn, 0, len(n.conns))
+	for c := range n.conns {
+		c.pair.ref()
+		live = append(live, c)
+	}
+	sortConnsDet(live)
+	return live
 }
 
 // kickSweeperLocked wakes the link sweeper without blocking; callers
@@ -323,25 +343,17 @@ func (n *Network) sweepLinks() {
 		case <-n.sweepWake:
 		}
 		n.mu.Lock()
-		if n.closed || len(n.conns) == 0 {
+		if n.closed.Load() || len(n.conns) == 0 {
 			n.sweeping = false
 			n.mu.Unlock()
 			return
 		}
-		live := make([]*Conn, 0, len(n.conns))
-		for c := range n.conns {
-			// Hold the pair across the unlocked check below: a tracked
-			// conn always has its user holds outstanding, so the ref can
-			// never resurrect a recycled pair.
-			c.pair.ref()
-			live = append(live, c)
-		}
-		sortConnsDet(live)
+		live := n.holdConnsLocked()
 		n.mu.Unlock()
-		// Outside the lock: linkUp re-enters n.mu and failing a conn
+		// Outside the lock: linkUp may re-enter n.mu and failing a conn
 		// re-enters the network to deregister itself.
 		for _, c := range live {
-			if !n.linkUp(c.local, c.remote, c.tech) {
+			if !c.linkUp() {
 				n.counters.linkFailures.Add(1)
 				c.failBoth(fmt.Errorf("%w: %s <-> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
 			}
@@ -356,6 +368,7 @@ func (n *Network) Partition(a, b ids.DeviceID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.partitioned[normPair(a, b)] = true
+	n.parts.Store(int32(len(n.partitioned)))
 }
 
 // Heal removes a partition.
@@ -363,6 +376,7 @@ func (n *Network) Heal(a, b ids.DeviceID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.partitioned, normPair(a, b))
+	n.parts.Store(int32(len(n.partitioned)))
 }
 
 // SetBroadcastLoss sets the probability in [0, 1] that any single
@@ -379,19 +393,60 @@ func (n *Network) SetBroadcastLoss(rate float64) {
 	n.lossRate = rate
 }
 
-// linkUp reports whether traffic may flow between two devices now.
+// linkUp reports whether traffic may flow between two devices now. It
+// resolves both IDs to radio slots and defers to slotLinkUp; the
+// broadcast differential test uses it as its per-pair oracle.
 func (n *Network) linkUp(a, b ids.DeviceID, tech radio.Technology) bool {
+	sa, okA := n.env.SlotOf(a)
+	sb, okB := n.env.SlotOf(b)
+	return okA && okB && n.slotLinkUp(a, b, sa, sb, tech)
+}
+
+// slotLinkUp is the link check on resolved devices (IDs for the
+// partition and fault draws, slots for the radio): the network is
+// open, the pair is not partitioned or severed by the fault plan, and
+// the radio reaches. While no partition is installed it takes no lock.
+func (n *Network) slotLinkUp(a, b ids.DeviceID, sa, sb radio.Slot, tech radio.Technology) bool {
+	if n.closed.Load() {
+		return false
+	}
+	if n.parts.Load() > 0 {
+		n.mu.Lock()
+		part := n.partitioned[normPair(a, b)]
+		n.mu.Unlock()
+		if part {
+			return false
+		}
+	}
+	elapsed := n.env.Elapsed()
+	if plan := n.faultPlan(); plan.SeversLinks() && plan.LinkDown(a, b, elapsed) {
+		return false
+	}
+	return n.env.ReachableSlotsAt(sa, sb, tech, elapsed)
+}
+
+// linkUp reports whether the radio link under this conn still holds.
+func (c *Conn) linkUp() bool {
+	return c.net.slotLinkUp(c.local, c.remote, c.lslot, c.rslot, c.tech)
+}
+
+// dialSlots resolves the two ends of a dial. The target's slot comes
+// from its listener on port when one is bound, so usually only the
+// dialer's ID is looked up; ok is false when either device was never
+// added to the environment, which no link check can pass.
+func (n *Network) dialSlots(from, to ids.DeviceID, port string) (fs, ts radio.Slot, ok bool) {
+	fs, ok = n.env.SlotOf(from)
+	if !ok {
+		return 0, 0, false
+	}
 	n.mu.Lock()
-	part := n.partitioned[normPair(a, b)]
-	closed := n.closed
+	l := n.listeners[portKey{dev: to, port: port}]
 	n.mu.Unlock()
-	if closed || part {
-		return false
+	if l != nil {
+		return fs, l.slot, true
 	}
-	if plan := n.faultPlan(); plan.SeversLinks() && plan.LinkDown(a, b, n.env.Elapsed()) {
-		return false
-	}
-	return n.env.Reachable(a, b, tech)
+	ts, ok = n.env.SlotOf(to)
+	return fs, ts, ok
 }
 
 // sleepModeled sleeps a modeled duration on the environment's clock,
@@ -406,12 +461,13 @@ func (n *Network) Listen(dev ids.DeviceID, port string) (*Listener, error) {
 	if !n.env.Has(dev) {
 		return nil, fmt.Errorf("netsim: listen: %w: %q", radio.ErrUnknownDevice, dev)
 	}
+	slot, _ := n.env.SlotOf(dev) // present, so it has a slot
 	if port == "" {
 		return nil, errors.New("netsim: listen: empty port")
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return nil, ErrNetworkClosed
 	}
 	key := portKey{dev: dev, port: port}
@@ -421,6 +477,7 @@ func (n *Network) Listen(dev ids.DeviceID, port string) (*Listener, error) {
 	l := &Listener{
 		net:      n,
 		key:      key,
+		slot:     slot,
 		incoming: make(chan *Conn, 16),
 		done:     make(chan struct{}),
 	}
@@ -436,7 +493,8 @@ func (n *Network) Dial(ctx context.Context, from, to ids.DeviceID, tech radio.Te
 	if !tech.Valid() {
 		return nil, fmt.Errorf("netsim: dial: invalid technology %v", tech)
 	}
-	if !n.linkUp(from, to, tech) {
+	fs, ts, known := n.dialSlots(from, to, port)
+	if !known || !n.slotLinkUp(from, to, fs, ts, tech) {
 		return nil, fmt.Errorf("%w: %s -> %s over %v", ErrUnreachable, from, to, tech)
 	}
 	phy := n.env.PHY(tech)
@@ -446,12 +504,12 @@ func (n *Network) Dial(ctx context.Context, from, to ids.DeviceID, tech radio.Te
 	case <-n.env.Clock().After(n.env.Scale().ToReal(phy.ConnectSetup)):
 	}
 	// Re-check after setup: the peer may have walked away while paging.
-	if !n.linkUp(from, to, tech) {
+	if !n.slotLinkUp(from, to, fs, ts, tech) {
 		return nil, fmt.Errorf("%w: %s -> %s over %v (lost during setup)", ErrUnreachable, from, to, tech)
 	}
 	n.mu.Lock()
 	l, ok := n.listeners[portKey{dev: to, port: port}]
-	closed := n.closed
+	closed := n.closed.Load()
 	n.mu.Unlock()
 	if closed {
 		return nil, ErrNetworkClosed
@@ -460,7 +518,7 @@ func (n *Network) Dial(ctx context.Context, from, to ids.DeviceID, tech radio.Te
 		return nil, fmt.Errorf("%w: %s on %s", ErrNoListener, port, to)
 	}
 
-	local, remote := newConnPair(n, from, to, tech, port)
+	local, remote := newConnPair(n, from, to, fs, ts, tech, port)
 	select {
 	case l.incoming <- remote:
 		n.counters.connsEstablished.Add(1)
@@ -480,6 +538,7 @@ func (n *Network) Dial(ctx context.Context, from, to ids.DeviceID, tech radio.Te
 type Listener struct {
 	net      *Network
 	key      portKey
+	slot     radio.Slot // the listening device's radio slot
 	incoming chan *Conn
 	done     chan struct{}
 	once     sync.Once

@@ -3,7 +3,7 @@ package radio
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,23 +29,39 @@ var (
 // supplied clock; modeled elapsed time (which drives mobility) is the
 // wall time since creation divided by the latency scale, so a scenario
 // that models minutes of walking can run in fractions of a second.
+//
+// Devices live in a dense table (slot.go): each ID gets a permanent
+// Slot at its first Add, and per-message callers that resolved a Slot
+// once check reachability by index, without hashing the ID or taking
+// the world lock.
 type Environment struct {
 	clock vtime.Clock
 	scale vtime.Scale
 	start time.Time
 
-	mu      sync.RWMutex
-	phys    map[Technology]PHY
-	devices map[ids.DeviceID]*device
-	gen     uint64 // bumped under mu by every world mutation
+	// phys is fixed at construction (options only), so it is read
+	// without a lock.
+	phys   [numTechs]PHY
+	hasPHY [numTechs]bool
 
-	// viewMu guards the per-technology query-epoch snapshot cache (a
-	// few recent epochs per technology; see grid.go for the snapshot
-	// rule), and buildMu single-flights cache misses so one snapshot
-	// build serves every device querying at a new epoch.
-	viewMu  sync.Mutex
-	views   map[Technology][]*worldView
-	buildMu sync.Mutex
+	// mu serializes the world mutators and guards index and moving.
+	// Slot state itself is read lock-free (slotCell.state); gen is
+	// bumped under mu by every world mutation and read lock-free.
+	mu     sync.RWMutex
+	index  map[ids.DeviceID]Slot
+	chunks atomic.Pointer[[]*slotChunk]
+	nslots atomic.Int32
+	moving int // present devices whose model is not mobility.Static
+	gen    atomic.Uint64
+
+	// views is the per-technology query-epoch snapshot cache (a few
+	// recent epochs per technology, replaced wholesale under buildMu;
+	// see grid.go for the snapshot rule), and buildMu single-flights
+	// cache misses so one snapshot build serves every device querying
+	// at a new epoch. viewBuilds counts builds.
+	views      [numTechs]atomic.Pointer[[]*worldView]
+	buildMu    sync.Mutex
+	viewBuilds atomic.Uint64
 
 	// inqFaults holds the installed inquiry-fault filter (boxed so the
 	// interface can be swapped atomically; nil box or nil filter means
@@ -91,13 +107,6 @@ func (e *Environment) filterInquiry(id ids.DeviceID, tech Technology, elapsed ti
 	return out
 }
 
-type device struct {
-	model    mobility.Model
-	radios   map[Technology]bool
-	powered  bool
-	coverage bool // inside cellular coverage (GPRS)
-}
-
 // Option configures an Environment.
 type Option func(*Environment)
 
@@ -111,22 +120,26 @@ func WithScale(s vtime.Scale) Option {
 	return func(e *Environment) { e.scale = s }
 }
 
-// WithPHY overrides the physical model of one technology.
+// WithPHY overrides the physical model of one technology. A PHY whose
+// Tech is outside the Technology range is ignored.
 func WithPHY(p PHY) Option {
-	return func(e *Environment) { e.phys[p.Tech] = p }
+	return func(e *Environment) {
+		if techIndexOK(p.Tech) {
+			e.phys[p.Tech], e.hasPHY[p.Tech] = p, true
+		}
+	}
 }
 
 // NewEnvironment returns an empty world.
 func NewEnvironment(opts ...Option) *Environment {
 	e := &Environment{
-		clock:   vtime.Real(),
-		scale:   vtime.Identity(),
-		phys:    make(map[Technology]PHY),
-		devices: make(map[ids.DeviceID]*device),
-		views:   make(map[Technology][]*worldView),
+		clock: vtime.Real(),
+		scale: vtime.Identity(),
+		index: make(map[ids.DeviceID]Slot),
 	}
+	e.chunks.Store(new([]*slotChunk))
 	for _, t := range AllTechnologies() {
-		e.phys[t] = DefaultPHY(t)
+		e.phys[t], e.hasPHY[t] = DefaultPHY(t), true
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -141,11 +154,19 @@ func (e *Environment) Clock() vtime.Clock { return e.clock }
 // Scale returns the environment's latency scale.
 func (e *Environment) Scale() vtime.Scale { return e.scale }
 
-// PHY returns the physical model for a technology.
+// PHY returns the physical model for a technology (the zero PHY for a
+// technology the world has no model of).
 func (e *Environment) PHY(t Technology) PHY {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.phys[t]
+	p, _ := e.phyOf(t)
+	return p
+}
+
+// phyOf returns a technology's PHY and whether the world models it.
+func (e *Environment) phyOf(t Technology) (PHY, bool) {
+	if !techIndexOK(t) || !e.hasPHY[t] {
+		return PHY{}, false
+	}
+	return e.phys[t], true
 }
 
 // Elapsed returns the modeled time since the environment was created.
@@ -155,103 +176,116 @@ func (e *Environment) Elapsed() time.Duration {
 
 // Add places a device in the world with the given mobility model and
 // radio technologies. Devices start powered on and inside cellular
-// coverage.
+// coverage. The first Add of an ID assigns its permanent Slot; adding
+// it again after a Remove reuses that slot.
 func (e *Environment) Add(id ids.DeviceID, model mobility.Model, techs ...Technology) error {
 	if !id.Valid() {
 		return fmt.Errorf("%w: %q", ErrInvalidID, id)
 	}
-	if model == nil {
-		model = mobility.Static{}
-	}
-	radios := make(map[Technology]bool, len(techs))
+	st := &slotState{powered: true, coverage: true}
+	st.setModel(model)
 	for _, t := range techs {
 		if !t.Valid() {
 			return fmt.Errorf("radio: invalid technology %v", t)
 		}
-		radios[t] = true
+		st.radios |= techBit(t)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.devices[id]; ok {
+	s, known := e.index[id]
+	if !known {
+		s = e.newSlotLocked(id)
+	}
+	c := e.cell(s)
+	if c.state.Load() != nil {
 		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
-	e.devices[id] = &device{model: model, radios: radios, powered: true, coverage: true}
-	e.gen++
+	c.state.Store(st)
+	if !st.static {
+		e.moving++
+	}
+	e.gen.Add(1)
 	return nil
 }
 
-// Remove deletes a device from the world.
+// Remove deletes a device from the world. Its slot is kept (marked
+// absent), so a later Add of the same ID lands in the same slot.
 func (e *Environment) Remove(id ids.DeviceID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.devices, id)
-	e.gen++
+	if s, ok := e.index[id]; ok {
+		c := e.cell(s)
+		if old := c.state.Swap(nil); old != nil && !old.static {
+			e.moving--
+		}
+	}
+	e.gen.Add(1)
+}
+
+// update applies one mutation to a present device: the slot's state
+// is copied, edited and swapped in whole, so lock-free readers always
+// see a consistent state.
+func (e *Environment) update(id ids.DeviceID, edit func(*slotState)) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s, ok := e.index[id]
+	var old *slotState
+	if ok {
+		old = e.cell(s).state.Load()
+	}
+	if old == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
+	}
+	st := *old
+	edit(&st)
+	if old.static != st.static {
+		if st.static {
+			e.moving--
+		} else {
+			e.moving++
+		}
+	}
+	e.cell(s).state.Store(&st)
+	e.gen.Add(1)
+	return nil
 }
 
 // SetPowered turns a device's radios on or off; a powered-off device is
 // invisible and unreachable, which is how tests model a user leaving.
 func (e *Environment) SetPowered(id ids.DeviceID, on bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	d, ok := e.devices[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
-	}
-	d.powered = on
-	e.gen++
-	return nil
+	return e.update(id, func(st *slotState) { st.powered = on })
 }
 
 // SetCoverage marks whether the device is inside cellular coverage,
 // affecting GPRS reachability only.
 func (e *Environment) SetCoverage(id ids.DeviceID, covered bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	d, ok := e.devices[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
-	}
-	d.coverage = covered
-	e.gen++
-	return nil
+	return e.update(id, func(st *slotState) { st.coverage = covered })
 }
 
 // SetModel replaces a device's mobility model. The new model receives
 // the same elapsed values as the old one (elapsed time since the
 // environment was created), so construct it accordingly.
 func (e *Environment) SetModel(id ids.DeviceID, model mobility.Model) error {
-	if model == nil {
-		model = mobility.Static{}
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	d, ok := e.devices[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
-	}
-	d.model = model
-	e.gen++
-	return nil
+	return e.update(id, func(st *slotState) { st.setModel(model) })
 }
 
 // Devices returns all device IDs, sorted, powered or not.
 func (e *Environment) Devices() []ids.DeviceID {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]ids.DeviceID, 0, len(e.devices))
-	for id := range e.devices {
-		out = append(out, id)
+	n := Slot(e.nslots.Load())
+	out := make([]ids.DeviceID, 0, n)
+	for s := Slot(0); s < n; s++ {
+		if c := e.cell(s); c.state.Load() != nil {
+			out = append(out, c.id)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Has reports whether a device exists.
 func (e *Environment) Has(id ids.DeviceID) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, ok := e.devices[id]
-	return ok
+	s, ok := e.SlotOf(id)
+	return ok && e.state(s) != nil
 }
 
 // Position returns a device's current position.
@@ -262,17 +296,15 @@ func (e *Environment) Position(id ids.DeviceID) (geo.Point, error) {
 // PositionAt returns a device's position at the given modeled elapsed
 // time.
 func (e *Environment) PositionAt(id ids.DeviceID, elapsed time.Duration) (geo.Point, error) {
-	e.mu.RLock()
-	var model mobility.Model
-	d, ok := e.devices[id]
+	s, ok := e.SlotOf(id)
+	var st *slotState
 	if ok {
-		model = d.model
+		st = e.state(s)
 	}
-	e.mu.RUnlock()
-	if !ok {
+	if st == nil {
 		return geo.Point{}, fmt.Errorf("%w: %q", ErrUnknownDevice, id)
 	}
-	return model.Position(elapsed), nil
+	return st.positionAt(elapsed), nil
 }
 
 // Reachable reports whether a message can pass from a to b over the
@@ -286,57 +318,38 @@ func (e *Environment) Reachable(a, b ids.DeviceID, tech Technology) bool {
 	return e.ReachableAt(a, b, tech, e.Elapsed())
 }
 
-// ReachableAt is Reachable at an explicit modeled elapsed time.
+// ReachableAt is Reachable at an explicit modeled elapsed time: the
+// two IDs are resolved to slots and checked by ReachableSlotsAt.
 func (e *Environment) ReachableAt(a, b ids.DeviceID, tech Technology, elapsed time.Duration) bool {
-	return e.reachableAt(a, b, tech, elapsed)
+	sa, okA := e.SlotOf(a)
+	sb, okB := e.SlotOf(b)
+	return okA && okB && e.ReachableSlotsAt(sa, sb, tech, elapsed)
 }
 
-// deviceSnapshot copies the mutable device fields under the lock so
-// reachability checks never race with SetPowered/SetModel/SetCoverage.
-type deviceSnapshot struct {
-	model    mobility.Model
-	powered  bool
-	coverage bool
-	hasRadio bool
-}
-
-// snapshotLocked copies one device's state for a technology. Callers
-// hold e.mu (read or write).
-func (e *Environment) snapshotLocked(id ids.DeviceID, tech Technology) (deviceSnapshot, bool) {
-	d, ok := e.devices[id]
-	if !ok {
-		return deviceSnapshot{}, false
-	}
-	return deviceSnapshot{
-		model:    d.model,
-		powered:  d.powered,
-		coverage: d.coverage,
-		hasRadio: d.radios[tech],
-	}, true
-}
-
-func (e *Environment) reachableAt(a, b ids.DeviceID, tech Technology, elapsed time.Duration) bool {
+// ReachableSlotsAt is the reachability predicate on resolved slots —
+// the per-message path of the transport, which resolves each endpoint
+// once. It reads slot state without the world lock.
+func (e *Environment) ReachableSlotsAt(a, b Slot, tech Technology, elapsed time.Duration) bool {
 	if a == b {
 		return false
 	}
-	e.mu.RLock()
-	sa, okA := e.snapshotLocked(a, tech)
-	sb, okB := e.snapshotLocked(b, tech)
-	phy, okPHY := e.phys[tech]
-	e.mu.RUnlock()
-	if !okA || !okB || !okPHY {
+	sa, sb := e.state(a), e.state(b)
+	if sa == nil || sb == nil {
 		return false
 	}
-	if !sa.powered || !sb.powered || !sa.hasRadio || !sb.hasRadio {
+	phy, ok := e.phyOf(tech)
+	if !ok {
+		return false
+	}
+	bit := techBit(tech)
+	if !sa.powered || !sb.powered || sa.radios&bit == 0 || sb.radios&bit == 0 {
 		return false
 	}
 	if phy.Unlimited() {
 		// Cellular: geometric position is irrelevant; coverage matters.
 		return sa.coverage && sb.coverage
 	}
-	pa := sa.model.Position(elapsed)
-	pb := sb.model.Position(elapsed)
-	return pa.DistanceTo(pb) <= phy.Range
+	return sa.positionAt(elapsed).DistanceTo(sb.positionAt(elapsed)) <= phy.Range
 }
 
 // Neighbors returns the devices currently reachable from id over the
@@ -353,7 +366,14 @@ func (e *Environment) Neighbors(id ids.DeviceID, tech Technology) []ids.DeviceID
 // time, letting callers pin many queries to one epoch so they share a
 // single world snapshot (one discovery round = one epoch).
 func (e *Environment) NeighborsAt(id ids.DeviceID, tech Technology, elapsed time.Duration) []ids.DeviceID {
-	return e.filterInquiry(id, tech, elapsed, e.view(tech, elapsed).neighborsInView(id))
+	s, ok := e.SlotOf(id)
+	if !ok {
+		return nil
+	}
+	if _, ok := e.phyOf(tech); !ok {
+		return nil
+	}
+	return e.filterInquiry(id, tech, elapsed, e.view(tech, elapsed).neighborsOf(s))
 }
 
 // NeighborsBrute is the brute-force O(n) per-pair neighbor scan the
@@ -367,24 +387,22 @@ func (e *Environment) NeighborsBrute(id ids.DeviceID, tech Technology) []ids.Dev
 // NeighborsBruteAt is NeighborsBrute at an explicit modeled elapsed
 // time.
 func (e *Environment) NeighborsBruteAt(id ids.DeviceID, tech Technology, elapsed time.Duration) []ids.DeviceID {
-	e.mu.RLock()
-	self, ok := e.snapshotLocked(id, tech)
-	all := make([]ids.DeviceID, 0, len(e.devices))
-	for other := range e.devices {
-		all = append(all, other)
+	self, ok := e.SlotOf(id)
+	if !ok {
+		return nil
 	}
-	e.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if !ok || !self.powered || !self.hasRadio {
+	st := e.state(self)
+	if st == nil || !st.powered || st.radios&techBit(tech) == 0 {
 		return nil
 	}
 	var out []ids.DeviceID
-	for _, other := range all {
-		if e.reachableAt(id, other, tech, elapsed) {
-			out = append(out, other)
+	n := Slot(e.nslots.Load())
+	for s := Slot(0); s < n; s++ {
+		if e.ReachableSlotsAt(self, s, tech, elapsed) {
+			out = append(out, e.cell(s).id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return e.filterInquiry(id, tech, elapsed, out)
 }
 
@@ -415,15 +433,17 @@ func (e *Environment) Signal(a, b ids.DeviceID, tech Technology) float64 {
 // Technologies returns the radio technologies a device carries, sorted
 // in preference order.
 func (e *Environment) Technologies(id ids.DeviceID) []Technology {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	d, ok := e.devices[id]
+	s, ok := e.SlotOf(id)
 	if !ok {
+		return nil
+	}
+	st := e.state(s)
+	if st == nil {
 		return nil
 	}
 	var out []Technology
 	for _, t := range AllTechnologies() {
-		if d.radios[t] {
+		if st.radios&techBit(t) != 0 {
 			out = append(out, t)
 		}
 	}
