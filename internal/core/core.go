@@ -83,14 +83,26 @@ func (g Group) Has(id ids.MemberID) bool {
 // The result is deterministic: groups sorted by interest, members by
 // member ID (the active user first).
 func DiscoverGroups(active Member, nearby []Member, sem *interest.Semantics) []Group {
+	personals := active.NormalizedInterests(sem)
+	if len(personals) == 0 {
+		return nil
+	}
+	// Each neighbour's interests are canonicalized once, not once per
+	// personal interest.
+	canon := make([][]string, len(nearby))
+	for i, other := range nearby {
+		if other.ID != active.ID {
+			canon[i] = other.NormalizedInterests(sem)
+		}
+	}
 	var groups []Group
-	for _, personal := range active.NormalizedInterests(sem) {
+	for _, personal := range personals {
 		group := Group{Interest: personal, Members: []Member{active}}
-		for _, other := range nearby {
+		for i, other := range nearby {
 			if other.ID == active.ID {
 				continue
 			}
-			for _, theirs := range other.NormalizedInterests(sem) {
+			for _, theirs := range canon[i] {
 				if theirs == personal {
 					group.Members = append(group.Members, other)
 					break

@@ -200,6 +200,11 @@ func (h *eventHeap) pop() event {
 // through it derives the child's sequence from this event's key, so
 // cascades replay byte-for-byte; scheduling through the Scheduler
 // draws from the global counter instead.
+//
+// A Ctx is valid only while the callback it was handed to runs: the
+// scheduler reuses one Ctx for every event of a batch, so an event
+// must not keep it, hand it to another goroutine or call At on it
+// after returning.
 type Ctx struct {
 	s      *Scheduler
 	home   uint64
@@ -558,12 +563,15 @@ func (s *Scheduler) executeBarrier(batches [][]event) {
 }
 
 // runBatch executes one shard batch in key order; a panic skips the
-// batch's remaining events and is parked in pan for the run loop.
+// batch's remaining events and is parked in pan for the run loop. One
+// Ctx serves the whole batch, reset to each event's key before its
+// callback (see Ctx for the lifetime this implies).
 func (s *Scheduler) runBatch(batch []event, pan *panicCell) {
 	defer pan.capture()
+	ctx := &Ctx{s: s}
 	for i := range batch {
 		e := &batch[i]
-		ctx := &Ctx{s: s, home: e.home, seq: e.seq}
+		ctx.home, ctx.seq, ctx.childN = e.home, e.seq, 0
 		if e.fn != nil {
 			e.fn(ctx)
 		} else if e.release != nil {

@@ -13,9 +13,29 @@ import (
 )
 
 // Normalize canonicalizes an interest term: lowercase, trimmed,
-// internal whitespace collapsed to single spaces.
+// internal whitespace collapsed to single spaces. A term that is
+// already in that form — the common case, since stored interests are
+// normalized once — is returned as is, without allocating.
 func Normalize(term string) string {
+	if isNormalASCII(term) {
+		return term
+	}
 	return strings.Join(strings.Fields(strings.ToLower(term)), " ")
+}
+
+// isNormalASCII reports whether term is ASCII with no upper-case
+// letter, no whitespace but single inner spaces, and no space at
+// either end: exactly the ASCII strings Normalize maps to themselves.
+func isNormalASCII(term string) bool {
+	for i := 0; i < len(term); i++ {
+		switch b := term[i]; {
+		case b >= 0x80, 'A' <= b && b <= 'Z', '\t' <= b && b <= '\r':
+			return false
+		case b == ' ' && (i == 0 || i == len(term)-1 || term[i-1] == ' '):
+			return false
+		}
+	}
+	return true
 }
 
 // NormalizeAll normalizes a list, dropping empties and duplicates,

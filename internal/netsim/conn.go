@@ -43,6 +43,8 @@ type Conn struct {
 	peer *Conn     // other end
 	pair *connPair // shared allocation unit both ends live in
 
+	// sendQ and recvQ are the goroutine engine's queues; the event
+	// engine keeps its receive queue in des and needs no transmit queue.
 	sendQ chan []byte
 	recvQ chan []byte
 
@@ -69,7 +71,7 @@ type Conn struct {
 }
 
 // connPair owns both connection ends and their event-engine state in
-// one allocation, recycled through the network's pair pool when every
+// one allocation, recycled through the network's free list when every
 // holder lets go. refs counts the holders: the two user ends (dropped
 // at each end's first Close/Abort), the pump goroutines on the
 // goroutine engine, every scheduled delivery/teardown/flush event on
@@ -97,7 +99,7 @@ func (c *Conn) releaseUser() {
 	}
 }
 
-// recyclePair returns a fully-released pair to the pool. If a
+// recyclePair returns a fully-released pair to the free list. If a
 // straggler operation is still inside either end — a caller racing its
 // own end's Close/Abort, which the contract forbids but the valve
 // tolerates — the pair is orphaned to the garbage collector instead:
@@ -108,15 +110,30 @@ func (n *Network) recyclePair(p *connPair) {
 	}
 	for i := range p.ends {
 		c := &p.ends[i]
-		drainQ(c.recvQ)
-		if c.sendQ != nil {
-			drainQ(c.sendQ)
-		}
 		if c.des != nil {
 			c.des.drain()
+			continue
 		}
+		drainQ(c.recvQ)
+		drainQ(c.sendQ)
 	}
-	n.pairPool.Put(p)
+	n.pairMu.Lock()
+	n.freePairs = append(n.freePairs, p)
+	n.pairMu.Unlock()
+}
+
+// takePair pops a recycled pair off the free list, or nil.
+func (n *Network) takePair() *connPair {
+	n.pairMu.Lock()
+	defer n.pairMu.Unlock()
+	last := len(n.freePairs) - 1
+	if last < 0 {
+		return nil
+	}
+	p := n.freePairs[last]
+	n.freePairs[last] = nil
+	n.freePairs = n.freePairs[:last]
+	return p
 }
 
 func drainQ(q chan []byte) {
@@ -132,13 +149,14 @@ func drainQ(q chan []byte) {
 // newConnPair wires up both ends and starts their pumps; registering
 // the dialer end with the network enrolls the pair in the shared link
 // sweep (Network.sweepLinks). It returns (dialer end, listener end).
-// Pairs come from the network's pool: connection churn dominated the
-// allocation profile at scale, and the big pieces — the transmit and
-// receive queues, the admission semaphores, the reorder maps — are
-// engine-invariant and survive from one incarnation to the next.
+// Pairs come from the network's free list: connection churn dominated
+// the allocation profile at scale, and the big pieces — the goroutine
+// engine's transmit and receive queues, the event engine's admission
+// semaphores and receive rings — survive from one incarnation to the
+// next.
 func newConnPair(n *Network, from, to ids.DeviceID, fs, ts radio.Slot, tech radio.Technology, port string) (*Conn, *Conn) {
 	seq := n.nextConnSeq(fs, ts)
-	p, _ := n.pairPool.Get().(*connPair)
+	p := n.takePair()
 	fresh := p == nil
 	if fresh {
 		p = &connPair{}
@@ -158,8 +176,10 @@ func newConnPair(n *Network, from, to ids.DeviceID, fs, ts radio.Slot, tech radi
 		return a, b
 	}
 	if fresh {
-		a.sendQ = make(chan []byte, sendQueueLen)
-		b.sendQ = make(chan []byte, sendQueueLen)
+		for _, c := range []*Conn{a, b} {
+			c.sendQ = make(chan []byte, sendQueueLen)
+			c.recvQ = make(chan []byte, sendQueueLen)
+		}
 	}
 	p.refs.Add(2) // one hold per pump
 	n.trackConn(a)
@@ -169,9 +189,8 @@ func newConnPair(n *Network, from, to ids.DeviceID, fs, ts radio.Slot, tech radi
 }
 
 // reset prepares one end for a new incarnation. The queues persist
-// across incarnations (drained at recycle) — they are the bulk of a
-// pair's allocation cost; the closed channel must be fresh, since the
-// previous incarnation's has fired.
+// across incarnations (drained at recycle); the closed channel must be
+// fresh, since the previous incarnation's has fired.
 func (c *Conn) reset(n *Network, p *connPair, local, remote ids.DeviceID, lslot, rslot radio.Slot, tech radio.Technology, port string, seq uint64) {
 	c.net, c.pair = n, p
 	c.local, c.remote, c.tech, c.port, c.connSeq = local, remote, tech, port, seq
@@ -181,9 +200,6 @@ func (c *Conn) reset(n *Network, p *connPair, local, remote ids.DeviceID, lslot,
 	c.closed = make(chan struct{})
 	c.failed.Store(false)
 	c.released.Store(false)
-	if c.recvQ == nil {
-		c.recvQ = make(chan []byte, sendQueueLen)
-	}
 }
 
 // Local returns the device this end belongs to.
@@ -264,6 +280,9 @@ func (c *Conn) send(payload []byte, deadline <-chan time.Time, cancel <-chan str
 func (c *Conn) Recv(ctx context.Context) ([]byte, error) {
 	c.ops.Add(1)
 	defer c.ops.Add(-1)
+	if c.des != nil {
+		return c.desRecv(ctx)
+	}
 	select {
 	case msg := <-c.recvQ:
 		return msg, nil

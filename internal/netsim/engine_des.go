@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -65,8 +66,9 @@ type desMsg struct {
 
 // desConnState is one conn end's event-engine state. The send side
 // (msgSeq, dirFree, slots) covers messages this end transmits; the
-// receive side (nextRecv, early, rbuf) keeps arrivals from the peer in
-// msgSeq order and parks them when the receive queue is full.
+// receive side (nextRecv, early, in) keeps arrivals from the peer in
+// msgSeq order, holds the delivered ones until they are read and parks
+// the rest while the receive queue is full.
 type desConnState struct {
 	// slots is the admission semaphore: sending pushes a token
 	// (blocking at sendQueueLen in flight), delivery/drop pops it.
@@ -80,29 +82,77 @@ type desConnState struct {
 	dirFree int64
 
 	nextRecv uint64
-	early    map[uint64]*desMsg
-	rbuf     []*desMsg
-	armed    bool // a flush retry event is scheduled
+	early    map[uint64]*desMsg // allocated at the first out-of-order arrival
+	// in is the receive queue: its first ready messages are delivered
+	// and unread (at most sendQueueLen, the goroutine engine's recvQ
+	// capacity); the rest are in-order arrivals parked until the
+	// reader makes room, still holding their sender's admission.
+	in    msgRing
+	ready int
+	armed bool // a flush retry event is scheduled
 
 	// waiter is the parked RecvEvent continuation (events.go), invoked
 	// by the delivery or teardown event that produces its outcome; nil
 	// when no event receive is outstanding.
 	waiter recvFn
+
+	// wake rouses goroutines parked in a blocking Recv (desRecv);
+	// parked counts them. Deliveries signal it only while parked > 0,
+	// so no token is left behind for a reader that never waits. Made
+	// by the first reader to park: event-driven ends never need it.
+	wake   chan struct{}
+	parked int
+}
+
+// msgRing is a growable FIFO ring of messages; its capacity follows
+// the deepest backlog the conn end has seen, not sendQueueLen.
+type msgRing struct {
+	buf  []*desMsg // length zero or a power of two
+	head int
+	n    int
+}
+
+func (r *msgRing) at(i int) *desMsg { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *msgRing) push(m *desMsg) {
+	if r.n == len(r.buf) {
+		grown := make([]*desMsg, max(4, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.at(i)
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = m
+	r.n++
+}
+
+func (r *msgRing) pop() *desMsg {
+	m := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return m
+}
+
+// truncate drops every message past the first k.
+func (r *msgRing) truncate(k int) {
+	for r.n > k {
+		r.n--
+		r.buf[(r.head+r.n)&(len(r.buf)-1)] = nil
+	}
 }
 
 // reset prepares this end's event state for a new pair incarnation.
-// The admission semaphore and reorder map are allocated once and
-// survive recycling; fresh marks a pair that has never been through
-// the pool.
+// The admission semaphore, wake channel, reorder map and receive ring
+// are allocated at most once and survive recycling; fresh marks a
+// pair that has never been through the free list.
 func (d *desConnState) reset(fresh bool) {
 	if fresh {
 		d.slots = make(chan struct{}, sendQueueLen)
-		d.early = make(map[uint64]*desMsg)
 	}
 	d.msgSeq = 0
 	d.dirFree = 0
 	d.nextRecv = 1
-	d.rbuf = d.rbuf[:0]
 	d.armed = false
 	d.waiter = nil
 }
@@ -113,11 +163,36 @@ func (d *desConnState) drain() {
 	for len(d.slots) > 0 {
 		<-d.slots
 	}
-	for k := range d.early {
-		delete(d.early, k)
-	}
-	d.rbuf = d.rbuf[:0]
+	clear(d.early)
+	d.in.truncate(0)
+	d.ready = 0
 	d.waiter = nil
+	select {
+	case <-d.wake:
+	default:
+	}
+}
+
+// popReadyLocked takes the oldest delivered, unread payload. Callers
+// hold des.mu.
+func (d *desConnState) popReadyLocked() ([]byte, bool) {
+	if d.ready == 0 {
+		return nil, false
+	}
+	d.ready--
+	return d.in.pop().payload, true
+}
+
+// wakeLocked rouses one parked blocking reader, if any. Callers hold
+// des.mu.
+func (d *desConnState) wakeLocked() {
+	if d.parked == 0 {
+		return
+	}
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
 }
 
 // desAirFree advances the (device, technology) airtime ledger: the
@@ -271,6 +346,9 @@ func (c *Conn) desDeliver(ctx *des.Ctx, m *desMsg) {
 	if m.seq != p.des.nextRecv {
 		// A clamped event time let this message outrun an earlier one:
 		// park it; the sequence gate delivers it in order.
+		if p.des.early == nil {
+			p.des.early = make(map[uint64]*desMsg)
+		}
 		p.des.early[m.seq] = m
 		p.des.mu.Unlock()
 		return
@@ -300,14 +378,13 @@ func (c *Conn) desPopWaiterLocked() (recvFn, []byte, bool) {
 	if c.des.waiter == nil {
 		return nil, nil, false
 	}
-	select {
-	case msg := <-c.recvQ:
-		fn := c.des.waiter
-		c.des.waiter = nil
-		return fn, msg, true
-	default:
+	msg, ok := c.des.popReadyLocked()
+	if !ok {
 		return nil, nil, false
 	}
+	fn := c.des.waiter
+	c.des.waiter = nil
+	return fn, msg, true
 }
 
 // desTeardown fails both ends from inside an event: armed RecvEvent
@@ -334,12 +411,7 @@ func (c *Conn) desTeardown(ctx *des.Ctx, err error) {
 		e.pair.ref()
 		ctx.At(0, homeOf(e.local), func(ctx *des.Ctx) {
 			defer e.unref()
-			select {
-			case msg := <-e.recvQ:
-				fn(ctx, msg, nil)
-			default:
-				fn(ctx, nil, e.errOrClosed())
-			}
+			e.desRecvAfterClose(ctx, fn)
 		})
 	}
 }
@@ -360,51 +432,112 @@ func (c *Conn) desNotifyWaiter() {
 	c.pair.ref()
 	c.net.sched.At(0, homeOf(c.local), func(ctx *des.Ctx) {
 		defer c.unref()
-		select {
-		case msg := <-c.recvQ:
-			fn(ctx, msg, nil)
-		default:
-			fn(ctx, nil, c.errOrClosed())
-		}
+		c.desRecvAfterClose(ctx, fn)
 	})
+}
+
+// desRecvAfterClose completes a RecvEvent waiter on a dead conn: an
+// already-delivered message first, then the close error.
+func (c *Conn) desRecvAfterClose(ctx *des.Ctx, fn recvFn) {
+	c.des.mu.Lock()
+	msg, ok := c.des.popReadyLocked()
+	c.des.mu.Unlock()
+	if ok {
+		fn(ctx, msg, nil)
+		return
+	}
+	fn(ctx, nil, c.errOrClosed())
+}
+
+// desRecv is the event engine's blocking Recv: it takes the oldest
+// delivered message, or parks until a delivery, the conn's death or
+// ctx's end. Messages delivered before a link loss stay readable.
+// Several goroutines may read one end; each message goes to exactly
+// one of them.
+func (c *Conn) desRecv(ctx context.Context) ([]byte, error) {
+	d := c.des
+	d.mu.Lock()
+	for {
+		if msg, ok := d.popReadyLocked(); ok {
+			if d.ready > 0 {
+				d.wakeLocked() // pass the turn to the next parked reader
+			}
+			d.mu.Unlock()
+			return msg, nil
+		}
+		if !c.Alive() {
+			d.mu.Unlock()
+			return nil, c.errOrClosed()
+		}
+		if d.wake == nil {
+			d.wake = make(chan struct{}, 1)
+		}
+		d.parked++
+		d.mu.Unlock()
+		var err error
+		select {
+		case <-d.wake:
+		case <-c.closed:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		d.mu.Lock()
+		d.parked--
+		if err != nil {
+			if d.ready > 0 {
+				d.wakeLocked() // a token meant for this reader goes on
+			} else if d.parked == 0 {
+				select { // nobody is left to take a token
+				case <-d.wake:
+				default:
+				}
+			}
+			d.mu.Unlock()
+			return nil, err
+		}
+	}
 }
 
 // enqueueLocked appends an in-sequence arrival and pulls any parked
 // successors after it. Callers hold des.mu.
 func (d *desConnState) enqueueLocked(m *desMsg) {
-	d.rbuf = append(d.rbuf, m)
+	d.in.push(m)
 	d.nextRecv++
-	for {
+	for len(d.early) > 0 {
 		next, ok := d.early[d.nextRecv]
 		if !ok {
 			return
 		}
 		delete(d.early, d.nextRecv)
-		d.rbuf = append(d.rbuf, next)
+		d.in.push(next)
 		d.nextRecv++
 	}
 }
 
-// desFlushLocked moves parked arrivals into the receive queue while
-// there is room, charging the delivery counters and returning the
-// sender's admission per message — the event-engine twin of the pump's
-// recvQ handoff. It reports whether messages remain parked. Callers
-// hold c.des.mu; c is the RECEIVING end (the messages came from
-// c.peer).
+// desFlushLocked delivers parked arrivals while the receive queue has
+// room, charging the delivery counters, returning the sender's
+// admission per message and waking a parked blocking reader — the
+// event-engine twin of the pump's recvQ handoff. It reports whether
+// messages remain parked. Callers hold c.des.mu; c is the RECEIVING
+// end (the messages came from c.peer).
 func (c *Conn) desFlushLocked() bool {
-	for len(c.des.rbuf) > 0 {
-		m := c.des.rbuf[0]
-		select {
-		case c.recvQ <- m.payload:
-		default:
-			return true // receive queue full: retry event takes over
+	d := c.des
+	moved := false
+	for d.ready < d.in.n {
+		if d.ready == sendQueueLen {
+			break // receive queue full: retry event takes over
 		}
-		c.des.rbuf = c.des.rbuf[1:]
+		m := d.in.at(d.ready)
+		d.ready++
+		moved = true
 		c.net.counters.messagesDelivered.Add(1)
 		c.net.counters.bytesDelivered.Add(uint64(len(m.payload)))
 		c.peer.desRelease()
 	}
-	return false
+	if moved {
+		d.wakeLocked()
+	}
+	return d.ready < d.in.n
 }
 
 // desFlushEvent retries parked deliveries; it re-arms itself while the
@@ -452,11 +585,9 @@ func (c *Conn) desAbandon() {
 func (c *Conn) desDrainReceiver() {
 	d := c.des
 	d.mu.Lock()
-	dropped := len(d.rbuf) + len(d.early)
-	d.rbuf = nil
-	for k := range d.early {
-		delete(d.early, k)
-	}
+	dropped := d.in.n - d.ready + len(d.early)
+	d.in.truncate(d.ready)
+	clear(d.early)
 	d.mu.Unlock()
 	for i := 0; i < dropped; i++ {
 		c.peer.desRelease()

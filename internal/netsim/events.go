@@ -187,12 +187,10 @@ func (c *Conn) RecvEvent(ctx *des.Ctx, fn recvFn) {
 	d := c.des
 	d.mu.Lock()
 	c.desFlushLocked()
-	select {
-	case msg := <-c.recvQ:
+	if msg, ok := d.popReadyLocked(); ok {
 		d.mu.Unlock()
 		fn(ctx, msg, nil)
 		return
-	default:
 	}
 	if !c.Alive() {
 		d.mu.Unlock()

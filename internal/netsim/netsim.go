@@ -105,11 +105,14 @@ type Network struct {
 	airMu   sync.Mutex
 	airFree []int64
 
-	// pairPool recycles connPair allocations (conn.go): at scale the
+	// freePairs recycles connPair allocations (conn.go): at scale the
 	// dial/close churn of discovery rounds dominated the allocation
-	// profile, and a pair's queues are engine-invariant, so a released
-	// pair is reset rather than reallocated.
-	pairPool sync.Pool
+	// profile, so a released pair is reset rather than reallocated. A
+	// plain list, not a sync.Pool: the pool empties at every GC cycle,
+	// and a sweep with tens of thousands of pairs in flight runs many.
+	// It holds at most the peak number of pairs live at once.
+	pairMu    sync.Mutex
+	freePairs []*connPair
 }
 
 // radioIndex addresses one device radio — a (device slot, technology)

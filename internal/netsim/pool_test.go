@@ -2,7 +2,9 @@ package netsim_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/geo"
@@ -13,7 +15,7 @@ import (
 	"repro/internal/vtime"
 )
 
-// This file pins the conn-pair pool (conn.go): dial/close churn
+// This file pins the conn-pair free list (conn.go): dial/close churn
 // dominated the allocation profile of the large discovery sweeps, so a
 // steady-state dial + request/reply + close cycle must not reallocate
 // the pair or its queues. The ceilings below have slack for the
@@ -24,7 +26,7 @@ import (
 
 // poolCeilingAllocs bounds average allocations per cycle; an unpooled
 // pair adds ~10 on top of a pooled cycle's incidentals.
-const poolCeilingAllocs = 60
+const poolCeilingAllocs = 50
 
 // buildPoolWorld places two devices in Bluetooth range and starts a
 // serial echo server on one of them.
@@ -114,5 +116,116 @@ func TestConnPairAllocsPinned(t *testing.T) {
 			}
 			t.Logf("%s: %.1f allocs per dial cycle", name, avg)
 		})
+	}
+}
+
+// pairBytesCeiling bounds the heap an open event-engine pair retains:
+// both ends, their event state and everything a dial leaves behind.
+// It was ~12.6 KiB while each end carried a 256-slot receive channel.
+const pairBytesCeiling = 2 << 10
+
+// desEventWorld is an event-engine network in pure event mode with two
+// devices in Bluetooth range and a listener whose AcceptEvent handler
+// keeps every accepted end; dial opens k pairs from one event and runs
+// the scheduler until they are established.
+func desEventWorld(t *testing.T) (net *netsim.Network, sched *des.Scheduler, dial func(k int) []*netsim.Conn) {
+	t.Helper()
+	sched = des.NewScheduler(1, 1)
+	env := radio.NewEnvironment(radio.WithClock(sched.Clock()), radio.WithScale(vtime.NewScale(1e-3)))
+	net = netsim.NewDES(env, 1, sched)
+	t.Cleanup(net.Close)
+	for _, dev := range []string{"mem-a", "mem-b"} {
+		if err := env.Add(ids.DeviceID(dev), mobility.Static{At: geo.Pt(1, 1)}, radio.Bluetooth); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := net.Listen("mem-b", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	var held []*netsim.Conn
+	l.AcceptEvent(func(ctx *des.Ctx, c *netsim.Conn) { held = append(held, c) })
+	dial = func(k int) []*netsim.Conn {
+		held = make([]*netsim.Conn, 0, 2*k)
+		var dialErr error
+		sched.At(0, netsim.DeviceHome("mem-a"), func(ctx *des.Ctx) {
+			for i := 0; i < k; i++ {
+				net.DialEvent(ctx, "mem-a", "mem-b", radio.Bluetooth, "svc", func(ctx *des.Ctx, c *netsim.Conn, err error) {
+					if err != nil {
+						dialErr = err
+						return
+					}
+					held = append(held, c)
+				})
+			}
+		})
+		// One modeled second is one scheduler millisecond at this
+		// scale; a Bluetooth connection setup takes a few.
+		runFor(sched, 20*time.Millisecond)
+		if dialErr != nil || len(held) != 2*k {
+			t.Fatalf("dialed %d of %d pairs: %v", len(held)/2, k, dialErr)
+		}
+		return held
+	}
+	return net, sched, dial
+}
+
+// runFor runs a pure-event scheduler d past its current instant.
+func runFor(sched *des.Scheduler, d time.Duration) {
+	sched.RunUntil(time.Duration(sched.NowNS()) + d)
+}
+
+// heapAlloc is the live heap after a full collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDESPairRetainedMemory holds 1,000 open event-engine pairs and
+// pins the heap each retains.
+func TestDESPairRetainedMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation changes heap sizes; the pin only means anything uninstrumented")
+	}
+	const pairs = 1000
+	_, _, dial := desEventWorld(t)
+	warm := dial(16) // first-use growth of the network's tables
+	before := heapAlloc()
+	held := dial(pairs)
+	perPair := float64(heapAlloc()-before) / pairs
+	runtime.KeepAlive(warm)
+	runtime.KeepAlive(held)
+	if perPair > pairBytesCeiling {
+		t.Fatalf("an open event-engine pair retains %.0f B, ceiling %d", perPair, pairBytesCeiling)
+	}
+	t.Logf("%.0f B retained per open event-engine pair", perPair)
+}
+
+// TestDESRecycledPairSurvivesGC: a released pair waits on the free
+// list through a garbage collection — a sync.Pool would have dropped
+// it — and the next dial reuses it instead of building a fresh one.
+func TestDESRecycledPairSurvivesGC(t *testing.T) {
+	net, sched, dial := desEventWorld(t)
+	first := dial(1)
+	sched.At(0, netsim.DeviceHome("mem-a"), func(ctx *des.Ctx) { first[0].CloseEvent(ctx) })
+	runFor(sched, 20*time.Millisecond)
+	first[1].Abort()
+	if n := netsim.FreePairs(net); n != 1 {
+		t.Fatalf("%d pairs on the free list after both ends let go, want 1", n)
+	}
+	runtime.GC()
+	runtime.GC()
+	again := dial(1)
+	if !netsim.SamePair(first[0], again[0]) {
+		t.Fatal("the dial after a GC built a fresh pair instead of reusing the released one")
+	}
+	if n := netsim.FreePairs(net); n != 0 {
+		t.Fatalf("%d pairs left on the free list, want 0", n)
+	}
+	for _, c := range again {
+		c.Abort()
 	}
 }
