@@ -131,10 +131,12 @@ chaos:
 
 # fuzz replays the committed never-panic corpora (valid frames plus
 # faults.Mangle damage and truncations) through the community, gossip
-# and DTN wire decoders as ordinary deterministic tests — the seed
-# corpus of each fuzzer, not an open-ended fuzzing session.
+# and DTN wire decoders and the shared sealed-frame reader they sit on
+# as ordinary deterministic tests — the seed corpus of each fuzzer,
+# not an open-ended fuzzing session. The gossip and DTN corpora also
+# check each decoder's committed accept/reject table.
 fuzz:
-	$(GO) test -run 'TestCorruptionCorpus|TestCodecRejectsMangledFrames|Fuzz' ./internal/community/ ./internal/gossip/ ./internal/dtn/
+	$(GO) test -run 'TestCorruptionCorpus|TestCodecRejectsMangledFrames|Fuzz' ./internal/community/ ./internal/gossip/ ./internal/dtn/ ./internal/wire/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

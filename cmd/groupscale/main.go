@@ -56,6 +56,7 @@ import (
 	"strings"
 
 	"repro/internal/harness"
+	"repro/internal/scenario"
 	"repro/internal/vtime"
 )
 
@@ -137,6 +138,11 @@ func main() {
 		counts = append(counts, n)
 	}
 
+	// engine is what -des and -workers select; desEngine is the event
+	// engine the large sweep rows always run on.
+	desEngine := scenario.Engine{DES: true, Workers: *workers}
+	engine := scenario.Engine{DES: *desFlag, Workers: *workers}
+
 	if *desFlag && !*dtnFlag && !*overload && !*delta && !*gossipFlag {
 		fmt.Println("Engine-scaling discovery sweep: every device runs an inquiry")
 		fmt.Println("window, queries its neighborhood and exchanges interest")
@@ -158,7 +164,7 @@ func main() {
 			}
 			points = append(points, ps...)
 		}
-		ps, err := harness.RunEngineScale(harness.EngineScaleConfig{Seed: 7, DES: true, Workers: *workers}, counts)
+		ps, err := harness.RunEngineScale(harness.EngineScaleConfig{Seed: 7, Engine: desEngine}, counts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "groupscale:", err)
 			os.Exit(1)
@@ -197,7 +203,7 @@ func main() {
 				points = append(points, p)
 				continue
 			}
-			p, err := harness.RunGossipScaleMode(harness.GossipScaleConfig{Seed: 7, DES: true, Workers: *workers}, n, "gossip")
+			p, err := harness.RunGossipScaleMode(harness.GossipScaleConfig{Seed: 7, Engine: desEngine}, n, "gossip")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "groupscale:", err)
 				os.Exit(1)
@@ -217,7 +223,7 @@ func main() {
 		fmt.Println("have shared a group with the destination — fewer copies for the")
 		fmt.Println("same deliveries.")
 		fmt.Println()
-		points, err := harness.RunDTNScale(harness.DTNScaleConfig{Seed: 7, DES: *desFlag, Workers: *workers}, counts)
+		points, err := harness.RunDTNScale(harness.DTNScaleConfig{Seed: 7, Engine: engine}, counts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "groupscale:", err)
 			os.Exit(1)
@@ -240,7 +246,7 @@ func main() {
 			fmt.Println("discrete-event engine; the observer stays the blocking client.)")
 			fmt.Println()
 		}
-		points, err := harness.RunOverload(harness.OverloadConfig{Devices: counts, DES: *desFlag, Workers: *workers})
+		points, err := harness.RunOverload(harness.OverloadConfig{Devices: counts, Engine: engine})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "groupscale:", err)
 			os.Exit(1)
@@ -261,7 +267,7 @@ func main() {
 			fmt.Println()
 		}
 		points, err := harness.RunDeltaScaleConfig(harness.DeltaScaleConfig{
-			Scale: vtime.NewScale(1e-4), DES: *desFlag, Workers: *workers,
+			Scale: vtime.NewScale(1e-4), Engine: engine,
 		}, counts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "groupscale:", err)

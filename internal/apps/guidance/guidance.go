@@ -167,8 +167,7 @@ type Point struct {
 	wmap  *Map
 	place string
 
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	srv *netsim.Server
 }
 
 // NewPoint registers the guidance service on a device standing at the
@@ -182,41 +181,25 @@ func NewPoint(lib *peerhood.Library, wmap *Map, place string) (*Point, error) {
 	if err != nil {
 		return nil, fmt.Errorf("guidance: %w", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	p.cancel = cancel
-	p.wg.Add(1)
-	go p.serve(ctx, listener)
+	p.srv = listener.Serve(context.Background(), p.serve)
 	return p, nil
 }
 
 // Stop unregisters the point.
 func (p *Point) Stop() {
-	p.cancel()
 	p.lib.UnregisterService(ServiceName)
-	p.wg.Wait()
+	p.srv.Stop()
 }
 
 // Place returns where this point stands.
 func (p *Point) Place() string { return p.place }
 
-func (p *Point) serve(ctx context.Context, listener *netsim.Listener) {
-	defer p.wg.Done()
-	for {
-		conn, err := listener.Accept(ctx)
-		if err != nil {
-			return
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer func() { _ = conn.Close() }()
-			req, err := conn.Recv(ctx)
-			if err != nil {
-				return
-			}
-			_ = conn.Send([]byte(p.handle(string(req))))
-		}()
+func (p *Point) serve(ctx context.Context, conn *netsim.Conn) {
+	req, err := conn.Recv(ctx)
+	if err != nil {
+		return
 	}
+	_ = conn.Send([]byte(p.handle(string(req))))
 }
 
 // handle answers "ROUTE <destination>" with "OK <hop1>,<hop2>,..." or

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/ids"
 	"repro/internal/vtime"
 )
 
@@ -23,7 +24,7 @@ type desClock struct {
 // timerHome spreads timer events across shards without any caller
 // input: each timer's home is a mix of its sequence draw.
 func (s *Scheduler) timerHome(seq uint64) uint64 {
-	return splitmix64(seq ^ 0x7465722d686f6d65) // "ter-home"
+	return ids.Mix64(seq ^ 0x7465722d686f6d65) // "ter-home"
 }
 
 // Now implements vtime.Clock on the virtual instant.

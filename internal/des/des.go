@@ -46,6 +46,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ids"
 )
 
 // Scheduler is a sharded discrete-event scheduler. Create one with
@@ -220,7 +222,7 @@ func (c *Ctx) Scheduler() *Scheduler { return c.s }
 // key, whatever the shard count.
 func (c *Ctx) At(d time.Duration, home uint64, fn func(ctx *Ctx)) {
 	c.childN++
-	seq := splitmix64((c.seq ^ splitmix64(c.home)) + c.childN)
+	seq := ids.Mix64((c.seq ^ ids.Mix64(c.home)) + c.childN)
 	c.s.schedule(d, home, seq, fn, nil)
 }
 
@@ -232,7 +234,7 @@ func NewScheduler(seed int64, shards int) *Scheduler {
 		shards = 1
 	}
 	s := &Scheduler{
-		seed:    splitmix64(uint64(seed) ^ 0x9e3779b97f4a7c15),
+		seed:    ids.Mix64(uint64(seed) ^ 0x9e3779b97f4a7c15),
 		shards:  make([]*shard, shards),
 		base:    time.Unix(1_000_000_000, 0).UTC(),
 		kick:    make(chan struct{}, 1),
@@ -353,7 +355,7 @@ func (s *Scheduler) schedule(d time.Duration, home, seq uint64, fn func(ctx *Ctx
 	at := s.nowNS.Load() + int64(d)
 	e := event{
 		at:      at,
-		tie:     splitmix64(s.seed ^ splitmix64(home)*0x9e3779b97f4a7c15 ^ seq),
+		tie:     ids.Mix64(s.seed ^ ids.Mix64(home)*0x9e3779b97f4a7c15 ^ seq),
 		home:    home,
 		seq:     seq,
 		fn:      fn,
@@ -611,13 +613,4 @@ func fnv1a(h, v uint64) uint64 {
 		v >>= 8
 	}
 	return h
-}
-
-// splitmix64 is the finalizer from Vigna's splitmix64 generator — the
-// same mixer the faults plane uses for its pure draws.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

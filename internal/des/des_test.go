@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/ids"
 )
 
 // seedCascade schedules a deterministic event cascade: nroots root
@@ -21,14 +23,14 @@ func seedCascade(s *Scheduler, nroots, depth int) {
 		}
 		fan := int(state%3) + 1
 		for i := 0; i < fan; i++ {
-			st := splitmix64(state + uint64(i))
+			st := ids.Mix64(state + uint64(i))
 			delay := time.Duration(st%5_000) * time.Microsecond // 0..5ms incl. 0: same-window cascades
 			home := st >> 32
 			ctx.At(delay, home, func(ctx *Ctx) { grow(ctx, st, depth-1) })
 		}
 	}
 	for r := 0; r < nroots; r++ {
-		st := splitmix64(uint64(r) * 0x517cc1b727220a95)
+		st := ids.Mix64(uint64(r) * 0x517cc1b727220a95)
 		home := st >> 32
 		d := depth
 		s.At(time.Duration(r%7)*time.Millisecond, home, func(ctx *Ctx) { grow(ctx, st, d) })

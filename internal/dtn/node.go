@@ -210,11 +210,7 @@ type Node struct {
 	trace          uint64
 	stats          Stats
 
-	lis     *netsim.Listener
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	started bool
+	srv *netsim.Server // nil until Start
 }
 
 // NewNode builds a node; call Start to begin serving contacts.
@@ -230,7 +226,6 @@ func NewNode(p Params) (*Node, error) {
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(p.Device))
-	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		dev:       p.Device,
 		neighbors: p.Neighbors,
@@ -243,63 +238,34 @@ func NewNode(p Params) (*Node, error) {
 		met:       make(map[ids.DeviceID]map[string]struct{}),
 		delivered: make(map[string]struct{}),
 		consumed:  make(map[string]struct{}),
-		trace:     mix64(uint64(p.Seed) ^ h.Sum64()),
-		ctx:       ctx,
-		cancel:    cancel,
+		trace:     ids.Mix64(uint64(p.Seed) ^ h.Sum64()),
 	}
 	return n, nil
-}
-
-// mix64 is the splitmix64 finalizer; it seeds the trace digest so
-// different seeds produce different (but internally replayable) traces.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // Start binds the DTN port and serves inbound contacts until Stop.
 func (n *Node) Start() error {
 	n.mu.Lock()
-	if n.started {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	if n.srv != nil {
 		return errors.New("dtn: already started")
 	}
-	n.started = true
-	n.mu.Unlock()
 	lis, err := n.net.Listen(n.dev, Port)
 	if err != nil {
 		return err
 	}
-	n.lis = lis
-	n.wg.Add(1)
-	go n.acceptLoop(lis)
+	n.srv = lis.Serve(context.Background(), n.serve)
 	return nil
 }
 
 // Stop closes the listener, cancels in-flight contacts and waits for
-// every handler goroutine (the leak checker holds us to that).
+// every handler (the leak checker holds us to that).
 func (n *Node) Stop() {
-	n.cancel()
-	if n.lis != nil {
-		n.lis.Close()
-	}
-	n.wg.Wait()
-}
-
-func (n *Node) acceptLoop(lis *netsim.Listener) {
-	defer n.wg.Done()
-	for {
-		conn, err := lis.Accept(n.ctx)
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go n.serve(conn)
+	n.mu.Lock()
+	srv := n.srv
+	n.mu.Unlock()
+	if srv != nil {
+		srv.Stop()
 	}
 }
 
@@ -684,10 +650,8 @@ func (n *Node) exchange(ctx context.Context, peer ids.DeviceID) {
 
 // --- passive side ---
 
-func (n *Node) serve(conn *netsim.Conn) {
-	defer n.wg.Done()
-	defer func() { _ = conn.Close() }()
-	data, err := conn.Recv(n.ctx)
+func (n *Node) serve(ctx context.Context, conn *netsim.Conn) {
+	data, err := conn.Recv(ctx)
 	if err != nil {
 		return
 	}
@@ -733,7 +697,7 @@ func (n *Node) serve(conn *netsim.Conn) {
 	if err := conn.Send(reply); err != nil {
 		return
 	}
-	data2, err := conn.Recv(n.ctx)
+	data2, err := conn.Recv(ctx)
 	if err != nil {
 		return
 	}
@@ -890,11 +854,4 @@ func (n *Node) Holding() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Round count for drivers.
-func (n *Node) RoundCount() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.round
 }

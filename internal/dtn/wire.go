@@ -3,22 +3,15 @@ package dtn
 import (
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
-// Wire format. Every DTN frame is
-//
-//	magic(1) version(1) kind(1) body... checksum(8)
-//
-// where the checksum is FNV-64a over magic..body, little-endian — the
-// same sealed-frame discipline as the gossip and community codecs. The
-// body is built from uvarints and length-prefixed strings. Decoding is
-// strict: the checksum must match, every length must fit the declared
-// caps, and the body must be consumed exactly — anything else is an
-// error, never a panic. The fuzz suite holds the codec to that under
-// faults.Mangle-style corruption (bit flips, truncation, insertion).
+// Wire format: sealed frames (internal/wire; DESIGN.md, "Shared
+// plumbing") under magic 'd', kinds offer..ack. The fuzz suite holds the
+// codec to the never-panic discipline under faults.Mangle-style
+// corruption (bit flips, truncation, insertion).
 //
 // A contact is a four-frame handshake: the initiator OFFERs bundle
 // summaries (plus a delivered-ids vaccine sample), the responder
@@ -58,6 +51,8 @@ const (
 // magic/version/kind, checksum mismatch, over-cap length, or trailing
 // garbage.
 var ErrBadFrame = errors.New("dtn: bad frame")
+
+var codec = wire.Codec{Magic: frameMagic, Version: frameVersion, MinKind: kindOffer, MaxKind: kindAck, Bad: ErrBadFrame}
 
 // Summary advertises one buffered bundle in an OFFER: its identity,
 // destination, remaining TTL in rounds, and the offering custodian's
@@ -118,124 +113,64 @@ type FrameAck struct {
 
 // --- encoding ---
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 func appendIDs(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
-		b = appendString(b, s)
+		b = wire.AppendString(b, s)
 	}
 	return b
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func sealFrame(body []byte) []byte {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return binary.LittleEndian.AppendUint64(body, h.Sum64())
-}
-
-func frameHeader(kind byte) []byte {
-	return []byte{frameMagic, frameVersion, kind}
-}
-
 // MarshalOffer encodes a contact-opening offer frame.
 func MarshalOffer(f FrameOffer) []byte {
-	b := frameHeader(kindOffer)
-	b = appendString(b, string(f.From))
+	b := codec.Header(kindOffer)
+	b = wire.AppendString(b, string(f.From))
 	b = binary.AppendUvarint(b, uint64(len(f.Summaries)))
 	for _, s := range f.Summaries {
-		b = appendString(b, s.ID)
-		b = appendString(b, string(s.Dst))
+		b = wire.AppendString(b, s.ID)
+		b = wire.AppendString(b, string(s.Dst))
 		b = binary.AppendUvarint(b, uint64(s.TTL))
 		b = binary.AppendUvarint(b, uint64(s.Utility))
 	}
 	b = appendIDs(b, f.Delivered)
-	return sealFrame(b)
+	return wire.Seal(b)
 }
 
 // MarshalWant encodes an offer answer frame.
 func MarshalWant(f FrameWant) []byte {
-	b := frameHeader(kindWant)
+	b := codec.Header(kindWant)
 	b = appendIDs(b, f.Want)
 	b = appendIDs(b, f.Delivered)
-	return sealFrame(b)
+	return wire.Seal(b)
 }
 
 // MarshalBundles encodes a bundle transfer frame.
 func MarshalBundles(f FrameBundles) []byte {
-	b := frameHeader(kindBundles)
-	b = appendString(b, string(f.From))
+	b := codec.Header(kindBundles)
+	b = wire.AppendString(b, string(f.From))
 	b = binary.AppendUvarint(b, uint64(len(f.Bundles)))
 	for _, bl := range f.Bundles {
-		b = appendString(b, bl.ID)
-		b = appendString(b, string(bl.Src))
-		b = appendString(b, string(bl.Dst))
+		b = wire.AppendString(b, bl.ID)
+		b = wire.AppendString(b, string(bl.Src))
+		b = wire.AppendString(b, string(bl.Dst))
 		b = binary.AppendUvarint(b, uint64(bl.TTL))
 		b = binary.AppendUvarint(b, uint64(bl.Copies))
-		b = appendBytes(b, bl.Payload)
+		b = wire.AppendBytes(b, bl.Payload)
 	}
-	return sealFrame(b)
+	return wire.Seal(b)
 }
 
 // MarshalAck encodes a contact-closing acceptance frame.
 func MarshalAck(f FrameAck) []byte {
-	b := frameHeader(kindAck)
+	b := codec.Header(kindAck)
 	b = appendIDs(b, f.Accepted)
-	return sealFrame(b)
+	return wire.Seal(b)
 }
 
 // --- decoding ---
 
-type wireReader struct {
-	b   []byte
-	off int
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrBadFrame
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *wireReader) str(maxLen int) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(maxLen) || r.off+int(n) > len(r.b) {
-		return "", ErrBadFrame
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *wireReader) bytes(maxLen int) ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(maxLen) || r.off+int(n) > len(r.b) {
-		return nil, ErrBadFrame
-	}
-	p := append([]byte(nil), r.b[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return p, nil
-}
-
-func (r *wireReader) idList(maxN int) ([]string, error) {
-	n, err := r.uvarint()
+func readIDs(r *wire.Reader, maxN int) ([]string, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +184,7 @@ func (r *wireReader) idList(maxN int) ([]string, error) {
 	// by actual bytes before it grows the slice.
 	out := make([]string, 0, min(int(n), 64))
 	for i := uint64(0); i < n; i++ {
-		s, err := r.str(maxWireString)
+		s, err := r.Str(maxWireString)
 		if err != nil {
 			return nil, err
 		}
@@ -258,66 +193,23 @@ func (r *wireReader) idList(maxN int) ([]string, error) {
 	return out, nil
 }
 
-func (r *wireReader) finish() error {
-	if r.off != len(r.b) {
-		return ErrBadFrame
-	}
-	return nil
-}
-
-// openFrame validates magic/version/kind and the trailing checksum and
-// returns a reader positioned at the body.
-func openFrame(data []byte, kind byte) (*wireReader, error) {
-	if len(data) < 3+8 {
-		return nil, ErrBadFrame
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
-		return nil, ErrBadFrame
-	}
-	if body[0] != frameMagic || body[1] != frameVersion || body[2] != kind {
-		return nil, ErrBadFrame
-	}
-	return &wireReader{b: body, off: 3}, nil
-}
-
 // FrameKind peeks at a sealed frame's kind without validating the body.
 // It still verifies the checksum, so a mangled kind byte is rejected
 // rather than misrouted.
-func FrameKind(data []byte) (byte, error) {
-	if len(data) < 3+8 {
-		return 0, ErrBadFrame
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
-		return 0, ErrBadFrame
-	}
-	if body[0] != frameMagic || body[1] != frameVersion {
-		return 0, ErrBadFrame
-	}
-	k := body[2]
-	if k < kindOffer || k > kindAck {
-		return 0, ErrBadFrame
-	}
-	return k, nil
-}
+func FrameKind(data []byte) (byte, error) { return codec.Kind(data) }
 
 // UnmarshalOffer decodes a contact-opening offer frame.
 func UnmarshalOffer(data []byte) (FrameOffer, error) {
 	var f FrameOffer
-	r, err := openFrame(data, kindOffer)
+	r, err := codec.Open(data, kindOffer)
 	if err != nil {
 		return f, err
 	}
-	from, err := r.str(maxWireString)
+	from, err := r.Str(maxWireString)
 	if err != nil {
 		return f, err
 	}
-	n, err := r.uvarint()
+	n, err := r.Uvarint()
 	if err != nil {
 		return f, err
 	}
@@ -329,19 +221,19 @@ func UnmarshalOffer(data []byte) (FrameOffer, error) {
 		sums = make([]Summary, 0, min(int(n), 64))
 	}
 	for i := uint64(0); i < n; i++ {
-		id, err := r.str(maxWireString)
+		id, err := r.Str(maxWireString)
 		if err != nil {
 			return f, err
 		}
-		dst, err := r.str(maxWireString)
+		dst, err := r.Str(maxWireString)
 		if err != nil {
 			return f, err
 		}
-		ttl, err := r.uvarint()
+		ttl, err := r.Uvarint()
 		if err != nil {
 			return f, err
 		}
-		util, err := r.uvarint()
+		util, err := r.Uvarint()
 		if err != nil {
 			return f, err
 		}
@@ -350,11 +242,11 @@ func UnmarshalOffer(data []byte) (FrameOffer, error) {
 		}
 		sums = append(sums, Summary{ID: id, Dst: ids.DeviceID(dst), TTL: uint32(ttl), Utility: uint32(util)})
 	}
-	delivered, err := r.idList(maxWireIDs)
+	delivered, err := readIDs(r, maxWireIDs)
 	if err != nil {
 		return f, err
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return f, err
 	}
 	f.From = ids.DeviceID(from)
@@ -366,19 +258,19 @@ func UnmarshalOffer(data []byte) (FrameOffer, error) {
 // UnmarshalWant decodes an offer answer frame.
 func UnmarshalWant(data []byte) (FrameWant, error) {
 	var f FrameWant
-	r, err := openFrame(data, kindWant)
+	r, err := codec.Open(data, kindWant)
 	if err != nil {
 		return f, err
 	}
-	want, err := r.idList(maxWireIDs)
+	want, err := readIDs(r, maxWireIDs)
 	if err != nil {
 		return f, err
 	}
-	delivered, err := r.idList(maxWireIDs)
+	delivered, err := readIDs(r, maxWireIDs)
 	if err != nil {
 		return f, err
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return f, err
 	}
 	f.Want = want
@@ -389,15 +281,15 @@ func UnmarshalWant(data []byte) (FrameWant, error) {
 // UnmarshalBundles decodes a bundle transfer frame.
 func UnmarshalBundles(data []byte) (FrameBundles, error) {
 	var f FrameBundles
-	r, err := openFrame(data, kindBundles)
+	r, err := codec.Open(data, kindBundles)
 	if err != nil {
 		return f, err
 	}
-	from, err := r.str(maxWireString)
+	from, err := r.Str(maxWireString)
 	if err != nil {
 		return f, err
 	}
-	n, err := r.uvarint()
+	n, err := r.Uvarint()
 	if err != nil {
 		return f, err
 	}
@@ -409,30 +301,30 @@ func UnmarshalBundles(data []byte) (FrameBundles, error) {
 		bundles = make([]Bundle, 0, min(int(n), 64))
 	}
 	for i := uint64(0); i < n; i++ {
-		id, err := r.str(maxWireString)
+		id, err := r.Str(maxWireString)
 		if err != nil {
 			return f, err
 		}
-		src, err := r.str(maxWireString)
+		src, err := r.Str(maxWireString)
 		if err != nil {
 			return f, err
 		}
-		dst, err := r.str(maxWireString)
+		dst, err := r.Str(maxWireString)
 		if err != nil {
 			return f, err
 		}
-		ttl, err := r.uvarint()
+		ttl, err := r.Uvarint()
 		if err != nil {
 			return f, err
 		}
-		copies, err := r.uvarint()
+		copies, err := r.Uvarint()
 		if err != nil {
 			return f, err
 		}
 		if ttl == 0 || ttl > maxWireTTL || copies == 0 || copies > maxWireCopies {
 			return f, ErrBadFrame
 		}
-		payload, err := r.bytes(maxWirePayload)
+		payload, err := r.Bytes(maxWirePayload)
 		if err != nil {
 			return f, err
 		}
@@ -445,7 +337,7 @@ func UnmarshalBundles(data []byte) (FrameBundles, error) {
 			Payload: payload,
 		})
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return f, err
 	}
 	f.From = ids.DeviceID(from)
@@ -456,15 +348,15 @@ func UnmarshalBundles(data []byte) (FrameBundles, error) {
 // UnmarshalAck decodes a contact-closing acceptance frame.
 func UnmarshalAck(data []byte) (FrameAck, error) {
 	var f FrameAck
-	r, err := openFrame(data, kindAck)
+	r, err := codec.Open(data, kindAck)
 	if err != nil {
 		return f, err
 	}
-	acc, err := r.idList(maxWireIDs)
+	acc, err := readIDs(r, maxWireIDs)
 	if err != nil {
 		return f, err
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return f, err
 	}
 	f.Accepted = acc

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/testutil"
 )
 
 func sampleSummaries() []Summary {
@@ -176,9 +177,10 @@ func TestCodecRejectsMangledFrames(t *testing.T) {
 }
 
 // TestCorruptionCorpus replays the committed corruption corpus under
-// testdata: every file must decode without panic, and anything that
-// decodes must be a structurally valid frame (the corpus pins codec
-// behavior across refactors).
+// testdata: every file must decode without panic, and every decoder
+// must still accept or reject each file exactly as the committed
+// testdata/corpus.table records, decoding accepted files to the same
+// value (the corpus pins codec behavior across refactors).
 func TestCorruptionCorpus(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "corpus")
@@ -200,4 +202,11 @@ func TestCorruptionCorpus(t *testing.T) {
 			}
 		}
 	}
+	testutil.CheckCorpusTable(t, dir, filepath.Join("testdata", "corpus.table"), []testutil.Decoder{
+		{Name: "offer", Decode: func(b []byte) (any, error) { return UnmarshalOffer(b) }},
+		{Name: "want", Decode: func(b []byte) (any, error) { return UnmarshalWant(b) }},
+		{Name: "bundles", Decode: func(b []byte) (any, error) { return UnmarshalBundles(b) }},
+		{Name: "ack", Decode: func(b []byte) (any, error) { return UnmarshalAck(b) }},
+		{Name: "kind", Decode: func(b []byte) (any, error) { return FrameKind(b) }},
+	}, ErrBadFrame)
 }

@@ -286,16 +286,6 @@ const (
 	kindSlow
 )
 
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed bijection
-// on 64-bit words. Every fault decision is mix64 over a fold of its
-// inputs — pure, stateless, detrand-clean.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // foldString folds a string into a running hash (FNV-1a step).
 func foldString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
@@ -309,13 +299,13 @@ func foldString(h uint64, s string) uint64 {
 // tuple.
 func (p *Plan) drawHash(kind uint64, a, b ids.DeviceID, idx ...uint64) uint64 {
 	h := uint64(14695981039346656037) ^ p.seed
-	h = mix64(h ^ kind)
+	h = ids.Mix64(h ^ kind)
 	h = foldString(h, string(a))
-	h = mix64(h)
+	h = ids.Mix64(h)
 	h = foldString(h, string(b))
-	h = mix64(h)
+	h = ids.Mix64(h)
 	for _, n := range idx {
-		h = mix64(h ^ n)
+		h = ids.Mix64(h ^ n)
 	}
 	return h
 }
@@ -531,25 +521,25 @@ func Mangle(seed uint64, data []byte) []byte {
 	if len(out) == 0 {
 		return out
 	}
-	h := mix64(seed)
+	h := ids.Mix64(seed)
 	switch h % 4 {
 	case 0: // flip 1–3 bits
-		n := int(mix64(h+1)%3) + 1
+		n := int(ids.Mix64(h+1)%3) + 1
 		for i := 0; i < n; i++ {
-			w := mix64(h + 2 + uint64(i))
+			w := ids.Mix64(h + 2 + uint64(i))
 			out[w%uint64(len(out))] ^= 1 << (w >> 32 % 8)
 		}
 		if bytes.Equal(out, data) { // two flips cancelled each other
 			out[0] ^= 1
 		}
 	case 1: // truncate (mod < len, so the copy always shrinks)
-		out = out[:mix64(h+1)%uint64(len(out))]
+		out = out[:ids.Mix64(h+1)%uint64(len(out))]
 	case 2: // insert a byte
-		w := mix64(h + 1)
+		w := ids.Mix64(h + 1)
 		pos := int(w % uint64(len(out)+1))
 		out = append(out[:pos], append([]byte{byte(w >> 8)}, out[pos:]...)...)
 	default: // zero a span
-		w := mix64(h + 1)
+		w := ids.Mix64(h + 1)
 		start := int(w % uint64(len(out)))
 		span := int(w>>16%8) + 1
 		changed := false

@@ -33,7 +33,7 @@ func TestBloomProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d/p=%g", tc.n, tc.p), func(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(0); seed < 4; seed++ {
-				b := NewBloom(tc.n, tc.p, mix64(seed))
+				b := NewBloom(tc.n, tc.p, ids.Mix64(seed))
 				oracle := make(map[string]bool, tc.n)
 				for i := 0; i < tc.n; i++ {
 					key := Record{
@@ -78,7 +78,7 @@ func TestBloomProperty(t *testing.T) {
 }
 
 func memberKeyForTest(seed uint64, i int) ids.MemberID {
-	return ids.MemberID(fmt.Sprintf("member-%x-%d", mix64(seed^uint64(i)), i))
+	return ids.MemberID(fmt.Sprintf("member-%x-%d", ids.Mix64(seed^uint64(i)), i))
 }
 
 // TestBloomSaltIndependence checks that two filters over the same set

@@ -155,11 +155,7 @@ type Node struct {
 	version  uint64
 	stats    Stats
 
-	lis     *netsim.Listener
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	started bool
+	srv *netsim.Server // nil until Start
 }
 
 // NewNode builds a node; call Start to begin serving.
@@ -175,7 +171,6 @@ func NewNode(p Params) (*Node, error) {
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(p.Device))
-	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		dev:       p.Device,
 		member:    p.Member,
@@ -192,9 +187,7 @@ func NewNode(p Params) (*Node, error) {
 		byDevice: make(map[ids.DeviceID]ids.MemberID),
 		hot:      make(map[ids.MemberID]int),
 		peerHave: make(map[ids.DeviceID]*Bloom),
-		rngState: mix64(uint64(p.Seed) ^ h.Sum64()),
-		ctx:      ctx,
-		cancel:   cancel,
+		rngState: ids.Mix64(uint64(p.Seed) ^ h.Sum64()),
 	}
 	return n, nil
 }
@@ -202,41 +195,26 @@ func NewNode(p Params) (*Node, error) {
 // Start binds the gossip port and serves inbound exchanges until Stop.
 func (n *Node) Start() error {
 	n.mu.Lock()
-	if n.started {
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	if n.srv != nil {
 		return errors.New("gossip: already started")
 	}
-	n.started = true
-	n.mu.Unlock()
 	lis, err := n.net.Listen(n.dev, Port)
 	if err != nil {
 		return err
 	}
-	n.lis = lis
-	n.wg.Add(1)
-	go n.acceptLoop(lis)
+	n.srv = lis.Serve(context.Background(), n.serve)
 	return nil
 }
 
 // Stop closes the listener, cancels in-flight exchanges and waits for
-// every handler goroutine (the leak checker holds us to that).
+// every handler (the leak checker holds us to that).
 func (n *Node) Stop() {
-	n.cancel()
-	if n.lis != nil {
-		n.lis.Close()
-	}
-	n.wg.Wait()
-}
-
-func (n *Node) acceptLoop(lis *netsim.Listener) {
-	defer n.wg.Done()
-	for {
-		conn, err := lis.Accept(n.ctx)
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go n.serve(conn)
+	n.mu.Lock()
+	srv := n.srv
+	n.mu.Unlock()
+	if srv != nil {
+		srv.Stop()
 	}
 }
 
@@ -530,10 +508,8 @@ func (n *Node) antiEntropy(ctx context.Context, neigh []ids.DeviceID) {
 
 // --- passive side ---
 
-func (n *Node) serve(conn *netsim.Conn) {
-	defer n.wg.Done()
-	defer func() { _ = conn.Close() }()
-	data, err := conn.Recv(n.ctx)
+func (n *Node) serve(ctx context.Context, conn *netsim.Conn) {
+	data, err := conn.Recv(ctx)
 	if err != nil {
 		return
 	}
@@ -548,7 +524,7 @@ func (n *Node) serve(conn *netsim.Conn) {
 	case kindRumor:
 		n.serveRumor(conn, data)
 	case kindDigest:
-		n.serveDigest(conn, data)
+		n.serveDigest(ctx, conn, data)
 	default:
 		n.mu.Lock()
 		n.stats.FramesRejected++
@@ -578,7 +554,7 @@ func (n *Node) serveRumor(conn *netsim.Conn, data []byte) {
 	_ = conn.Send(ack)
 }
 
-func (n *Node) serveDigest(conn *netsim.Conn, data []byte) {
+func (n *Node) serveDigest(ctx context.Context, conn *netsim.Conn, data []byte) {
 	f, err := UnmarshalDigest(data)
 	if err != nil {
 		n.mu.Lock()
@@ -598,7 +574,7 @@ func (n *Node) serveDigest(conn *netsim.Conn, data []byte) {
 	if err := conn.Send(reply); err != nil {
 		return
 	}
-	data2, err := conn.Recv(n.ctx)
+	data2, err := conn.Recv(ctx)
 	if err != nil {
 		return
 	}

@@ -17,22 +17,10 @@ import (
 // guarantee must not depend on the social bias, or a neighbor sharing
 // no interests could be starved of reconciliation.
 
-// mix64 is the splitmix64 finalizer, the same draw primitive the fault
-// plane uses: every rng step is a pure function of the evolving state.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // nextRand advances the node's seeded rng. Callers hold n.mu.
 func (n *Node) nextRand() uint64 {
 	n.rngState++
-	return mix64(n.rngState)
+	return ids.Mix64(n.rngState)
 }
 
 // sharedInterests counts terms present in both lists.

@@ -4,21 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/ids"
+	"repro/internal/wire"
 )
 
-// Wire format. Every gossip frame is
-//
-//	magic(1) version(1) kind(1) body... checksum(8)
-//
-// where the checksum is FNV-64a over magic..body, little-endian. The
-// body is built from uvarints and length-prefixed strings. Decoding is
-// strict: the checksum must match, every length must fit the declared
-// caps, and the body must be consumed exactly — anything else is an
-// error, never a panic. The fuzz suite holds the codec to that under
-// faults.Mangle-style corruption (bit flips, truncation, insertion).
+// Wire format: sealed frames (internal/wire; DESIGN.md, "Shared
+// plumbing") under magic 'g', kinds rumor..delta. The fuzz suite holds
+// the codec to the never-panic discipline under faults.Mangle-style
+// corruption (bit flips, truncation, insertion).
 
 const (
 	frameMagic   = 0x67 // 'g'
@@ -44,12 +38,12 @@ const (
 	KindDelta  = kindDelta
 )
 
-var (
-	// ErrBadFrame reports any malformed gossip frame: short, wrong
-	// magic/version/kind, checksum mismatch, over-cap length, or
-	// trailing garbage.
-	ErrBadFrame = errors.New("gossip: bad frame")
-)
+// ErrBadFrame reports any malformed gossip frame: short, wrong
+// magic/version/kind, checksum mismatch, over-cap length, or trailing
+// garbage.
+var ErrBadFrame = errors.New("gossip: bad frame")
+
+var codec = wire.Codec{Magic: frameMagic, Version: frameVersion, MinKind: kindRumor, MaxKind: kindDelta, Bad: ErrBadFrame}
 
 // Record is one epoch-versioned member profile as it rides the wire: a
 // member identity, the device carrying it, the store epoch at capture
@@ -115,18 +109,13 @@ type FrameDelta struct {
 
 // --- encoding ---
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 func appendRecord(b []byte, r Record) []byte {
-	b = appendString(b, string(r.Member))
-	b = appendString(b, string(r.Device))
+	b = wire.AppendString(b, string(r.Member))
+	b = wire.AppendString(b, string(r.Device))
 	b = binary.AppendUvarint(b, r.Epoch)
 	b = binary.AppendUvarint(b, uint64(len(r.Interests)))
 	for _, it := range r.Interests {
-		b = appendString(b, it)
+		b = wire.AppendString(b, it)
 	}
 	return b
 }
@@ -142,8 +131,8 @@ func appendRecords(b []byte, rs []Record) []byte {
 func appendView(b []byte, v []ViewEntry) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v)))
 	for _, e := range v {
-		b = appendString(b, string(e.Device))
-		b = appendString(b, string(e.Member))
+		b = wire.AppendString(b, string(e.Device))
+		b = wire.AppendString(b, string(e.Member))
 		b = binary.AppendUvarint(b, uint64(e.Age))
 	}
 	return b
@@ -160,114 +149,59 @@ func appendBloom(b []byte, f *Bloom) []byte {
 	return append(b, f.bits...)
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func sealFrame(body []byte) []byte {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return binary.LittleEndian.AppendUint64(body, h.Sum64())
-}
-
-func frameHeader(kind byte) []byte {
-	return []byte{frameMagic, frameVersion, kind}
-}
-
 // MarshalRumor encodes a rumor push frame.
 func MarshalRumor(f FrameRumor) []byte {
-	b := frameHeader(kindRumor)
-	b = appendString(b, string(f.From))
+	b := codec.Header(kindRumor)
+	b = wire.AppendString(b, string(f.From))
 	b = appendRecords(b, f.Records)
 	b = appendView(b, f.View)
-	return sealFrame(b)
+	return wire.Seal(b)
 }
 
 // MarshalAck encodes a rumor acknowledgement frame.
 func MarshalAck(f FrameAck) []byte {
-	b := frameHeader(kindAck)
-	b = appendBytes(b, f.KnownMask)
+	b := codec.Header(kindAck)
+	b = wire.AppendBytes(b, f.KnownMask)
 	b = appendBloom(b, f.Bloom)
 	b = appendView(b, f.View)
-	return sealFrame(b)
+	return wire.Seal(b)
 }
 
 // MarshalDigest encodes an anti-entropy digest frame.
 func MarshalDigest(f FrameDigest) []byte {
-	b := frameHeader(kindDigest)
-	b = appendString(b, string(f.From))
+	b := codec.Header(kindDigest)
+	b = wire.AppendString(b, string(f.From))
 	b = appendBloom(b, f.Bloom)
 	b = appendView(b, f.View)
-	return sealFrame(b)
+	return wire.Seal(b)
 }
 
 // MarshalDelta encodes an anti-entropy delta frame.
 func MarshalDelta(f FrameDelta) []byte {
-	b := frameHeader(kindDelta)
-	b = appendString(b, string(f.From))
+	b := codec.Header(kindDelta)
+	b = wire.AppendString(b, string(f.From))
 	b = appendRecords(b, f.Records)
 	b = appendBloom(b, f.Bloom)
-	return sealFrame(b)
+	return wire.Seal(b)
 }
 
 // --- decoding ---
 
-type wireReader struct {
-	b   []byte
-	off int
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrBadFrame
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *wireReader) str(maxLen int) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(maxLen) || r.off+int(n) > len(r.b) {
-		return "", ErrBadFrame
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *wireReader) bytes(maxLen int) ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(maxLen) || r.off+int(n) > len(r.b) {
-		return nil, ErrBadFrame
-	}
-	p := append([]byte(nil), r.b[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return p, nil
-}
-
-func (r *wireReader) record() (Record, error) {
+func readRecord(r *wire.Reader) (Record, error) {
 	var rec Record
-	m, err := r.str(maxWireString)
+	m, err := r.Str(maxWireString)
 	if err != nil {
 		return rec, err
 	}
-	d, err := r.str(maxWireString)
+	d, err := r.Str(maxWireString)
 	if err != nil {
 		return rec, err
 	}
-	epoch, err := r.uvarint()
+	epoch, err := r.Uvarint()
 	if err != nil {
 		return rec, err
 	}
-	n, err := r.uvarint()
+	n, err := r.Uvarint()
 	if err != nil {
 		return rec, err
 	}
@@ -278,7 +212,7 @@ func (r *wireReader) record() (Record, error) {
 	if n > 0 {
 		interests = make([]string, 0, n)
 		for i := uint64(0); i < n; i++ {
-			it, err := r.str(maxWireString)
+			it, err := r.Str(maxWireString)
 			if err != nil {
 				return rec, err
 			}
@@ -292,8 +226,8 @@ func (r *wireReader) record() (Record, error) {
 	return rec, nil
 }
 
-func (r *wireReader) records() ([]Record, error) {
-	n, err := r.uvarint()
+func readRecords(r *wire.Reader) ([]Record, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +241,7 @@ func (r *wireReader) records() ([]Record, error) {
 	// by actual bytes before it grows the slice.
 	recs := make([]Record, 0, min(int(n), 64))
 	for i := uint64(0); i < n; i++ {
-		rec, err := r.record()
+		rec, err := readRecord(r)
 		if err != nil {
 			return nil, err
 		}
@@ -316,8 +250,8 @@ func (r *wireReader) records() ([]Record, error) {
 	return recs, nil
 }
 
-func (r *wireReader) view() ([]ViewEntry, error) {
-	n, err := r.uvarint()
+func readView(r *wire.Reader) ([]ViewEntry, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -329,15 +263,15 @@ func (r *wireReader) view() ([]ViewEntry, error) {
 	}
 	out := make([]ViewEntry, 0, min(int(n), 64))
 	for i := uint64(0); i < n; i++ {
-		dev, err := r.str(maxWireString)
+		dev, err := r.Str(maxWireString)
 		if err != nil {
 			return nil, err
 		}
-		mem, err := r.str(maxWireString)
+		mem, err := r.Str(maxWireString)
 		if err != nil {
 			return nil, err
 		}
-		age, err := r.uvarint()
+		age, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -349,8 +283,8 @@ func (r *wireReader) view() ([]ViewEntry, error) {
 	return out, nil
 }
 
-func (r *wireReader) bloom() (*Bloom, error) {
-	nbits, err := r.uvarint()
+func readBloom(r *wire.Reader) (*Bloom, error) {
+	nbits, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -360,101 +294,57 @@ func (r *wireReader) bloom() (*Bloom, error) {
 	if nbits > bloomMaxBits {
 		return nil, ErrBadFrame
 	}
-	k, err := r.uvarint()
+	k, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if k < 1 || k > bloomMaxK {
 		return nil, ErrBadFrame
 	}
-	count, err := r.uvarint()
+	count, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if count > 1<<32-1 {
 		return nil, ErrBadFrame
 	}
-	salt, err := r.uvarint()
+	salt, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	nbytes := int((nbits + 7) / 8)
-	if r.off+nbytes > len(r.b) {
-		return nil, ErrBadFrame
+	raw, err := r.Raw(int((nbits + 7) / 8))
+	if err != nil {
+		return nil, err
 	}
-	bits := append([]byte(nil), r.b[r.off:r.off+nbytes]...)
-	r.off += nbytes
+	bits := append([]byte(nil), raw...)
 	return &Bloom{bits: bits, nbits: uint32(nbits), k: uint8(k), count: uint32(count), salt: salt}, nil
-}
-
-// openFrame validates magic/version/kind and the trailing checksum and
-// returns a reader positioned at the body.
-func openFrame(data []byte, kind byte) (*wireReader, error) {
-	if len(data) < 3+8 {
-		return nil, ErrBadFrame
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
-		return nil, ErrBadFrame
-	}
-	if body[0] != frameMagic || body[1] != frameVersion || body[2] != kind {
-		return nil, ErrBadFrame
-	}
-	return &wireReader{b: body, off: 3}, nil
-}
-
-func (r *wireReader) finish() error {
-	if r.off != len(r.b) {
-		return ErrBadFrame
-	}
-	return nil
 }
 
 // FrameKind peeks at a sealed frame's kind without validating the body.
 // It still verifies the checksum, so a mangled kind byte is rejected
 // rather than misrouted.
-func FrameKind(data []byte) (byte, error) {
-	if len(data) < 3+8 {
-		return 0, ErrBadFrame
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
-		return 0, ErrBadFrame
-	}
-	if body[0] != frameMagic || body[1] != frameVersion {
-		return 0, ErrBadFrame
-	}
-	k := body[2]
-	if k < kindRumor || k > kindDelta {
-		return 0, ErrBadFrame
-	}
-	return k, nil
-}
+func FrameKind(data []byte) (byte, error) { return codec.Kind(data) }
 
 // UnmarshalRumor decodes a rumor push frame.
 func UnmarshalRumor(data []byte) (FrameRumor, error) {
 	var f FrameRumor
-	r, err := openFrame(data, kindRumor)
+	r, err := codec.Open(data, kindRumor)
 	if err != nil {
 		return f, err
 	}
-	from, err := r.str(maxWireString)
+	from, err := r.Str(maxWireString)
 	if err != nil {
 		return f, err
 	}
-	recs, err := r.records()
+	recs, err := readRecords(r)
 	if err != nil {
 		return f, err
 	}
-	view, err := r.view()
+	view, err := readView(r)
 	if err != nil {
 		return f, err
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return f, err
 	}
 	f.From = ids.DeviceID(from)
@@ -466,23 +356,23 @@ func UnmarshalRumor(data []byte) (FrameRumor, error) {
 // UnmarshalAck decodes a rumor acknowledgement frame.
 func UnmarshalAck(data []byte) (FrameAck, error) {
 	var f FrameAck
-	r, err := openFrame(data, kindAck)
+	r, err := codec.Open(data, kindAck)
 	if err != nil {
 		return f, err
 	}
-	mask, err := r.bytes(maxWireMask)
+	mask, err := r.Bytes(maxWireMask)
 	if err != nil {
 		return f, err
 	}
-	bloom, err := r.bloom()
+	bloom, err := readBloom(r)
 	if err != nil {
 		return f, err
 	}
-	view, err := r.view()
+	view, err := readView(r)
 	if err != nil {
 		return f, err
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return f, err
 	}
 	f.KnownMask = mask
@@ -494,23 +384,23 @@ func UnmarshalAck(data []byte) (FrameAck, error) {
 // UnmarshalDigest decodes an anti-entropy digest frame.
 func UnmarshalDigest(data []byte) (FrameDigest, error) {
 	var f FrameDigest
-	r, err := openFrame(data, kindDigest)
+	r, err := codec.Open(data, kindDigest)
 	if err != nil {
 		return f, err
 	}
-	from, err := r.str(maxWireString)
+	from, err := r.Str(maxWireString)
 	if err != nil {
 		return f, err
 	}
-	bloom, err := r.bloom()
+	bloom, err := readBloom(r)
 	if err != nil {
 		return f, err
 	}
-	view, err := r.view()
+	view, err := readView(r)
 	if err != nil {
 		return f, err
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return f, err
 	}
 	f.From = ids.DeviceID(from)
@@ -522,23 +412,23 @@ func UnmarshalDigest(data []byte) (FrameDigest, error) {
 // UnmarshalDelta decodes an anti-entropy delta frame.
 func UnmarshalDelta(data []byte) (FrameDelta, error) {
 	var f FrameDelta
-	r, err := openFrame(data, kindDelta)
+	r, err := codec.Open(data, kindDelta)
 	if err != nil {
 		return f, err
 	}
-	from, err := r.str(maxWireString)
+	from, err := r.Str(maxWireString)
 	if err != nil {
 		return f, err
 	}
-	recs, err := r.records()
+	recs, err := readRecords(r)
 	if err != nil {
 		return f, err
 	}
-	bloom, err := r.bloom()
+	bloom, err := readBloom(r)
 	if err != nil {
 		return f, err
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return f, err
 	}
 	f.From = ids.DeviceID(from)

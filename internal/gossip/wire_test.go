@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/testutil"
 )
 
 func sampleRecords() []Record {
@@ -156,9 +157,10 @@ func TestCodecRejectsMangledFrames(t *testing.T) {
 }
 
 // TestCorruptionCorpus replays the committed corruption corpus under
-// testdata: every file must decode without panic, and files recorded
-// as rejects must still be rejected (the corpus pins codec behavior
-// across refactors).
+// testdata: every file must decode without panic, and every decoder
+// must still accept or reject each file exactly as the committed
+// testdata/corpus.table records, decoding accepted files to the same
+// value (the corpus pins codec behavior across refactors).
 func TestCorruptionCorpus(t *testing.T) {
 	t.Parallel()
 	dir := filepath.Join("testdata", "corpus")
@@ -185,4 +187,11 @@ func TestCorruptionCorpus(t *testing.T) {
 			}
 		}
 	}
+	testutil.CheckCorpusTable(t, dir, filepath.Join("testdata", "corpus.table"), []testutil.Decoder{
+		{Name: "rumor", Decode: func(b []byte) (any, error) { return UnmarshalRumor(b) }},
+		{Name: "ack", Decode: func(b []byte) (any, error) { return UnmarshalAck(b) }},
+		{Name: "digest", Decode: func(b []byte) (any, error) { return UnmarshalDigest(b) }},
+		{Name: "delta", Decode: func(b []byte) (any, error) { return UnmarshalDelta(b) }},
+		{Name: "kind", Decode: func(b []byte) (any, error) { return FrameKind(b) }},
+	}, ErrBadFrame)
 }

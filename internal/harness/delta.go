@@ -94,28 +94,16 @@ type DeltaScaleConfig struct {
 	// DES runs the point on the discrete-event engine in integrated
 	// mode — the measured client stays the blocking differential
 	// oracle while the transport underneath it rides the scheduler —
-	// the same engine flag the DTN, gossip and overload sweeps take.
-	// Shards overrides the scheduler's shard count (default 8) and
-	// Workers its executor count.
-	DES     bool
-	Shards  int
-	Workers int
+	// the same engine selection the DTN, gossip and overload sweeps
+	// take.
+	Engine scenario.Engine
 }
 
 func (c DeltaScaleConfig) withDefaults() DeltaScaleConfig {
 	if c.Scale.Factor() == 1 || c.Scale.Factor() == 0 {
 		c.Scale = vtime.NewScale(1e-4)
 	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	return c
-}
-
-// RunDeltaScale measures cold-vs-steady group rounds at each neighbor
-// count on the goroutine engine; RunDeltaScaleConfig is the full form.
-func RunDeltaScale(scale vtime.Scale, deviceCounts []int) ([]DeltaScalePoint, error) {
-	return RunDeltaScaleConfig(DeltaScaleConfig{Scale: scale}, deviceCounts)
 }
 
 // RunDeltaScaleConfig measures cold-vs-steady group rounds at each
@@ -140,13 +128,7 @@ func runDeltaPoint(cfg DeltaScaleConfig, peers int) (DeltaScalePoint, error) {
 	if peers < 1 {
 		return DeltaScalePoint{}, fmt.Errorf("need at least one peer")
 	}
-	builder := scenario.NewBuilder().WithScale(cfg.Scale).WithSeed(int64(peers))
-	if cfg.DES {
-		builder.WithDES(cfg.Shards)
-		if cfg.Workers > 0 {
-			builder.WithDESWorkers(cfg.Workers)
-		}
-	}
+	builder := newBuilder(cfg.Engine).WithScale(cfg.Scale).WithSeed(int64(peers))
 	side := 1 + peers/4
 	for i := 0; i < peers; i++ {
 		builder.AddPeer(scenario.PeerSpec{
@@ -174,10 +156,7 @@ func runDeltaPoint(cfg DeltaScaleConfig, peers int) (DeltaScalePoint, error) {
 		return DeltaScalePoint{}, err
 	}
 
-	point := DeltaScalePoint{Devices: peers, Engine: "goroutine"}
-	if cfg.DES {
-		point.Engine = "des"
-	}
+	point := DeltaScalePoint{Devices: peers, Engine: cfg.Engine.String()}
 	round := func(wall *time.Duration, bytes *uint64) error {
 		before := d.Net.Counters().BytesDelivered
 		sw := vtime.NewStopwatch(vtime.Real(), vtime.Identity())

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/vtime"
 )
 
@@ -15,7 +16,7 @@ import (
 func TestDeltaScaleBothEngines(t *testing.T) {
 	const peers = 12
 	for _, useDES := range []bool{false, true} {
-		cfg := DeltaScaleConfig{Scale: vtime.NewScale(1e-4), DES: useDES}
+		cfg := DeltaScaleConfig{Scale: vtime.NewScale(1e-4), Engine: scenario.Engine{DES: useDES}}
 		points, err := RunDeltaScaleConfig(cfg, []int{peers})
 		if err != nil {
 			t.Fatalf("DES=%v: %v", useDES, err)

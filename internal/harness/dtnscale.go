@@ -6,17 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/dtn"
 	"repro/internal/geo"
 	"repro/internal/ids"
 	"repro/internal/mobility"
-	"repro/internal/netsim"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 	"repro/internal/vtime"
 )
 
@@ -81,13 +79,8 @@ type DTNScaleConfig struct {
 	Warmup int
 	// Messages is the originated message count (default max(8, n/8)).
 	Messages int
-	// Wave bounds concurrently driven devices per sweep (default 1024).
-	Wave int
-	// DES selects the discrete-event engine; Shards overrides its
-	// shard count (default 8) and Workers its executor count.
-	DES     bool
-	Shards  int
-	Workers int
+	// Engine selects the transport engine.
+	Engine scenario.Engine
 	// DTN overrides the engine knobs; Strategy is set per mode.
 	DTN dtn.Config
 }
@@ -96,14 +89,11 @@ func (c DTNScaleConfig) withDefaults() DTNScaleConfig {
 	if c.Rounds <= 0 {
 		c.Rounds = 48
 	}
-	if c.Wave <= 0 {
-		c.Wave = 1024
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	return c
 }
+
+// dtnScaleWave bounds concurrently driven devices per sweep.
+const dtnScaleWave = 1024
 
 // RunDTNScale measures both strategies in both worlds at each size.
 func RunDTNScale(cfg DTNScaleConfig, deviceCounts []int) ([]DTNScalePoint, error) {
@@ -140,9 +130,8 @@ func RunDTNScaleMode(cfg DTNScaleConfig, n int, world, strategy string) (DTNScal
 // dtnScaleWorld is one sparse mobility world: static residents grouped
 // into communities at dwell points, couriers on a deterministic tour.
 type dtnScaleWorld struct {
-	env  *radio.Environment
-	net  *netsim.Network
-	devs []ids.DeviceID
+	world *scenario.World
+	devs  []ids.DeviceID
 	// community[i] is device i's home dwell point (-1 for couriers).
 	community []int
 	// stops[s] is dwell point s's origin.
@@ -171,21 +160,16 @@ func dtnScaleGeometry(n int, world string, seed int64) (residentsPerStop, courie
 	}
 }
 
-func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string) (*dtnScaleWorld, *des.Scheduler, error) {
+func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string) (_ *dtnScaleWorld, err error) {
 	seed := cfg.Seed + int64(n)
 	residents, courierEvery := dtnScaleGeometry(n, world, seed)
-	opts := []radio.Option{radio.WithScale(vtime.NewScale(1e-6))}
-	var sched *des.Scheduler
-	if cfg.DES {
-		sched = des.NewScheduler(seed, cfg.Shards)
-		if cfg.Workers > 0 {
-			sched.SetWorkers(cfg.Workers)
+	w := &dtnScaleWorld{world: scenario.NewWorld(cfg.Engine, seed, radio.WithScale(vtime.NewScale(1e-6))), dwell: 2}
+	defer func() {
+		if err != nil {
+			w.close()
 		}
-		opts = append(opts, radio.WithClock(sched.Clock()))
-	}
-	env := radio.NewEnvironment(opts...)
+	}()
 
-	w := &dtnScaleWorld{env: env, dwell: 2}
 	// Partition n into stops of `residents` plus one courier per
 	// `courierEvery` stops.
 	perBlock := residents*courierEvery + 1
@@ -208,8 +192,8 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 		for r := 0; r < residents && placed < n; r++ {
 			dev := ids.DeviceIDf("dev-%05d", placed)
 			at := geo.Pt(w.stops[s].X+rng.Float64()*4, w.stops[s].Y+rng.Float64()*4)
-			if err := env.Add(dev, mobility.Static{At: at}, radio.Bluetooth); err != nil {
-				return nil, nil, err
+			if err := w.world.Env.Add(dev, mobility.Static{At: at}, radio.Bluetooth); err != nil {
+				return nil, err
 			}
 			w.devs = append(w.devs, dev)
 			w.community = append(w.community, s)
@@ -217,8 +201,8 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 		}
 		if (s+1)%courierEvery == 0 && placed < n {
 			dev := ids.DeviceIDf("dev-%05d", placed)
-			if err := env.Add(dev, mobility.Static{At: w.stops[s]}, radio.Bluetooth); err != nil {
-				return nil, nil, err
+			if err := w.world.Env.Add(dev, mobility.Static{At: w.stops[s]}, radio.Bluetooth); err != nil {
+				return nil, err
 			}
 			w.devs = append(w.devs, dev)
 			w.community = append(w.community, -1)
@@ -231,15 +215,9 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 		}
 	}
 	if len(w.couriers) == 0 {
-		return nil, nil, fmt.Errorf("world of %d devices produced no couriers", n)
+		return nil, fmt.Errorf("world of %d devices produced no couriers", n)
 	}
-
-	if cfg.DES {
-		w.net = netsim.NewDES(env, seed, sched)
-		sched.Start()
-	} else {
-		w.net = netsim.New(env, seed)
-	}
+	w.world.Start()
 
 	strat := dtn.Epidemic
 	if strategy == "social" {
@@ -262,21 +240,21 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 		i, dev := i, dev
 		node, err := dtn.NewNode(dtn.Params{
 			Device:    dev,
-			Neighbors: func() []ids.DeviceID { return env.Neighbors(dev, radio.Bluetooth) },
+			Neighbors: func() []ids.DeviceID { return w.world.Env.Neighbors(dev, radio.Bluetooth) },
 			Groups:    func() []core.Group { return w.groupsOf(i, byDevice) },
-			Net:       w.net,
+			Net:       w.world.Net,
 			Seed:      seed,
 			Config:    nodeCfg,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := node.Start(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		w.nodes = append(w.nodes, node)
 	}
-	return w, sched, nil
+	return w, nil
 }
 
 // groupsOf computes device i's current group view: its radio neighbors
@@ -285,7 +263,7 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 // absorbing it is how the social strategy learns which destinations
 // the courier "meets", exactly the GROUPS-NET group-encounter signal.
 func (w *dtnScaleWorld) groupsOf(i int, byDevice map[ids.DeviceID]int) []core.Group {
-	neigh := w.env.Neighbors(w.devs[i], radio.Bluetooth)
+	neigh := w.world.Env.Neighbors(w.devs[i], radio.Bluetooth)
 	buckets := make(map[int][]core.Member)
 	add := func(idx int) {
 		c := w.community[idx]
@@ -326,62 +304,34 @@ func (w *dtnScaleWorld) tourCouriers(round int) error {
 	for k, idx := range w.couriers {
 		s := (w.phase[k] + epoch*w.step[k]) % len(w.stops)
 		at := w.stops[s]
-		if err := w.env.SetModel(w.devs[idx], mobility.Static{At: geo.Pt(at.X+1, at.Y+1)}); err != nil {
+		if err := w.world.Env.SetModel(w.devs[idx], mobility.Static{At: geo.Pt(at.X+1, at.Y+1)}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sweep drives one contact round on every node, at most cfg.Wave
-// concurrently.
-func (w *dtnScaleWorld) sweep(cfg DTNScaleConfig) {
+// sweep drives one contact round on every node.
+func (w *dtnScaleWorld) sweep() {
 	ctx := context.Background()
-	workers := cfg.Wave
-	if workers > len(w.nodes) {
-		workers = len(w.nodes)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				w.nodes[i].Round(ctx)
-			}
-		}()
-	}
-	for i := range w.nodes {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	sweepPool(len(w.nodes), dtnScaleWave, func(i int) { w.nodes[i].Round(ctx) })
 }
 
 func (w *dtnScaleWorld) close() {
 	for _, n := range w.nodes {
 		n.Stop()
 	}
-	w.net.Close()
+	w.world.Close()
 }
 
 func runDTNScalePoint(cfg DTNScaleConfig, n int, world, strategy string) (DTNScalePoint, error) {
-	w, sched, err := buildDTNScaleWorld(cfg, n, world, strategy)
+	w, err := buildDTNScaleWorld(cfg, n, world, strategy)
 	if err != nil {
 		return DTNScalePoint{}, err
 	}
-	defer func() {
-		w.close()
-		if sched != nil {
-			sched.Stop()
-		}
-	}()
+	defer w.close()
 
-	point := DTNScalePoint{Devices: n, World: world, Strategy: strategy, Engine: "goroutine"}
-	if cfg.DES {
-		point.Engine = "des"
-	}
+	point := DTNScalePoint{Devices: n, World: world, Strategy: strategy, Engine: cfg.Engine.String()}
 	sw := vtime.NewStopwatch(vtime.Real(), vtime.Identity())
 
 	warmup := cfg.Warmup
@@ -395,7 +345,7 @@ func runDTNScalePoint(cfg DTNScaleConfig, n int, world, strategy string) (DTNSca
 		if err := w.tourCouriers(round); err != nil {
 			return DTNScalePoint{}, err
 		}
-		w.sweep(cfg)
+		w.sweep()
 	}
 
 	// Traffic: cross-community messages between residents. Same seed →
@@ -444,7 +394,7 @@ func runDTNScalePoint(cfg DTNScaleConfig, n int, world, strategy string) (DTNSca
 		if err := w.tourCouriers(round); err != nil {
 			return DTNScalePoint{}, err
 		}
-		w.sweep(cfg)
+		w.sweep()
 		round++
 		remain := pending[:0]
 		for _, s := range pending {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 	"repro/internal/vtime"
 )
 
@@ -29,7 +29,7 @@ import (
 // deadlines collapse into windows, and the scheduler's worker pool
 // executes the per-window shard batches on every core — which is what
 // pushes the sweep from the goroutine engine's ~2k ceiling to 100k
-// devices. The Wave-pool goroutine drivers survive behind
+// devices. The pooled goroutine drivers survive behind
 // DriverGoroutines as the differential oracle at n ≤ 200.
 
 // EngineScalePoint is one measured sweep at one world size.
@@ -37,7 +37,7 @@ type EngineScalePoint struct {
 	Devices int
 	// Engine is "goroutine" (goroutine transport engine), "des" (event
 	// drivers on the discrete-event engine) or "des-goro" (the oracle:
-	// goroutine Wave-pool drivers on the discrete-event engine).
+	// pooled goroutine drivers on the discrete-event engine).
 	Engine string
 	// Workers is the event engine's executor count (0 on the goroutine
 	// engine).
@@ -76,19 +76,10 @@ type EngineScaleConfig struct {
 	// Fanout caps how many neighbors each device exchanges interests
 	// with per round (default 3).
 	Fanout int
-	// Wave bounds concurrent device drivers on the goroutine-driver
-	// paths only — the plain goroutine engine and the DriverGoroutines
-	// oracle — where a sweep must not need 50k simultaneous goroutines
-	// (default 2048). The DES path schedules drivers as events and
-	// never reads it.
-	Wave int
-	// DES selects the discrete-event engine with event-native workload
-	// drivers; Shards overrides its shard count (default 8) and Workers
-	// its executor count (default GOMAXPROCS).
-	DES     bool
-	Shards  int
-	Workers int
-	// DriverGoroutines runs the Wave-pool goroutine drivers on the DES
+	// Engine selects the transport engine; on the discrete-event
+	// engine the workload drivers are event-native.
+	Engine scenario.Engine
+	// DriverGoroutines runs the pooled goroutine drivers on the DES
 	// engine (integrated mode) instead of event drivers — the
 	// differential oracle the event cascade is held to at small n.
 	DriverGoroutines bool
@@ -104,14 +95,14 @@ func (c EngineScaleConfig) withDefaults() EngineScaleConfig {
 	if c.Fanout <= 0 {
 		c.Fanout = 3
 	}
-	if c.Wave <= 0 {
-		c.Wave = 2048
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	return c
 }
+
+// engineScaleWave bounds concurrent device drivers on the
+// goroutine-driver paths only — the plain goroutine engine and the
+// DriverGoroutines oracle — where a sweep must not need 50k
+// simultaneous goroutines. The DES path schedules drivers as events.
+const engineScaleWave = 2048
 
 // engineScalePool is the interest vocabulary; small enough that groups
 // form, large enough that not every pair shares one.
@@ -157,38 +148,23 @@ func RunEngineScale(cfg EngineScaleConfig, deviceCounts []int) ([]EngineScalePoi
 func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error) {
 	ctx := context.Background()
 	seed := cfg.Seed + int64(n)
-	opts := []radio.Option{radio.WithScale(cfg.Scale)}
-	var sched *des.Scheduler
-	if cfg.DES {
-		sched = des.NewScheduler(seed, cfg.Shards)
-		if cfg.Workers > 0 {
-			sched.SetWorkers(cfg.Workers)
-		}
-		opts = append(opts, radio.WithClock(sched.Clock()))
-	}
-	env := radio.NewEnvironment(opts...)
+	w := scenario.NewWorld(cfg.Engine, seed, radio.WithScale(cfg.Scale))
+	defer w.Close()
+	env, net, sched := w.Env, w.Net, w.Sched
 	devs, err := placeUniform(env, n, seed)
 	if err != nil {
 		return EngineScalePoint{}, err
 	}
-	var net *netsim.Network
-	eventDrivers := cfg.DES && !cfg.DriverGoroutines
-	if cfg.DES {
-		net = netsim.NewDES(env, seed, sched)
-		if !eventDrivers {
-			// Goroutine drivers block on the scheduler's clock, so the
-			// background runner must advance time; event drivers drain
-			// synchronously with Run and never need it.
-			sched.Start()
-			defer sched.Stop()
-		}
-	} else {
-		net = netsim.New(env, seed)
+	eventDrivers := cfg.Engine.DES && !cfg.DriverGoroutines
+	if !eventDrivers {
+		// Goroutine drivers block on the scheduler's clock, so the
+		// background runner must advance time; event drivers drain
+		// synchronously with Run and never need it.
+		w.Start()
 	}
-	defer net.Close()
 
 	// Every device serves its interest advertisement on port "esd". On
-	// the goroutine-driver paths that is one accept loop per device plus
+	// the goroutine-driver paths that is one serve loop per device plus
 	// one short-lived handler goroutine per exchange; with event drivers
 	// the listener's AcceptEvent handler arms a RecvEvent/SendEvent
 	// serve chain instead, and no serving goroutine ever exists.
@@ -203,25 +179,8 @@ func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error)
 			l.AcceptEvent(srv.accept)
 			continue
 		}
-		go func() {
-			for {
-				c, err := l.Accept(ctx)
-				if err != nil {
-					return
-				}
-				go func(c *netsim.Conn) {
-					defer func() { _ = c.Close() }()
-					for {
-						if _, err := c.Recv(ctx); err != nil {
-							return
-						}
-						if c.Send(ad) != nil {
-							return
-						}
-					}
-				}(c)
-			}
-		}()
+		// The loop ends when w.Close closes the network's listeners.
+		l.Serve(ctx, func(ctx context.Context, c *netsim.Conn) { serveReplies(ctx, c, ad) })
 	}
 
 	clock := env.Clock()
@@ -248,41 +207,23 @@ func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error)
 		sched.Run()
 	} else {
 		for round := 0; round < cfg.Rounds; round++ {
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			workers := cfg.Wave
-			if workers > n {
-				workers = n
-			}
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idx {
-						driveEngineScaleDevice(ctx, cfg, env, net, clock, inquiry, devs, i, &groupsTotal)
-					}
-				}()
-			}
-			for i := range devs {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
+			sweepPool(n, engineScaleWave, func(i int) {
+				driveEngineScaleDevice(ctx, cfg, env, net, clock, inquiry, devs, i, &groupsTotal)
+			})
 		}
 	}
 
 	wall := sw.Elapsed()
 	point := EngineScalePoint{
 		Devices:          n,
-		Engine:           "goroutine",
+		Engine:           cfg.Engine.String(),
 		Wall:             wall,
 		Virtual:          clock.Now().Sub(virtStart),
 		NsPerDeviceRound: float64(wall.Nanoseconds()) / float64(n*cfg.Rounds),
 		Groups:           int(groupsTotal.Load()),
 		Delivered:        net.Counters().MessagesDelivered,
 	}
-	if cfg.DES {
-		point.Engine = "des"
+	if sched != nil {
 		if cfg.DriverGoroutines {
 			point.Engine = "des-goro"
 		}

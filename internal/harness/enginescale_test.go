@@ -2,6 +2,8 @@ package harness
 
 import (
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // TestEngineScaleBothEngines runs the discovery sweep small on both
@@ -15,7 +17,7 @@ func TestEngineScaleBothEngines(t *testing.T) {
 			name = "des"
 		}
 		t.Run(name, func(t *testing.T) {
-			points, err := RunEngineScale(EngineScaleConfig{Seed: 7, DES: des, Rounds: 2}, []int{40})
+			points, err := RunEngineScale(EngineScaleConfig{Seed: 7, Engine: scenario.Engine{DES: des}, Rounds: 2}, []int{40})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +54,7 @@ func TestEngineScaleDESPushesPastGoroutineSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaled sweep skipped in -short mode")
 	}
-	points, err := RunEngineScale(EngineScaleConfig{Seed: 11, DES: true}, []int{1000})
+	points, err := RunEngineScale(EngineScaleConfig{Seed: 11, Engine: scenario.Engine{DES: true}}, []int{1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +81,9 @@ func TestEngineScaleEventDriversMatchOracles(t *testing.T) {
 			}
 			return points[0]
 		}
-		event := run(EngineScaleConfig{Seed: 7, DES: true})
+		event := run(EngineScaleConfig{Seed: 7, Engine: scenario.Engine{DES: true}})
 		goro := run(EngineScaleConfig{Seed: 7})
-		oracle := run(EngineScaleConfig{Seed: 7, DES: true, DriverGoroutines: true})
+		oracle := run(EngineScaleConfig{Seed: 7, Engine: scenario.Engine{DES: true}, DriverGoroutines: true})
 		if oracle.Engine != "des-goro" {
 			t.Fatalf("oracle engine label %q, want des-goro", oracle.Engine)
 		}
@@ -109,7 +111,7 @@ func TestEngineScaleTraceInvariantAcrossShardsAndWorkers(t *testing.T) {
 	first := true
 	for _, shards := range []int{1, 4, 16} {
 		for _, workers := range []int{1, 4} {
-			points, err := RunEngineScale(EngineScaleConfig{Seed: 13, DES: true, Shards: shards, Workers: workers}, []int{n})
+			points, err := RunEngineScale(EngineScaleConfig{Seed: 13, Engine: scenario.Engine{DES: true, Shards: shards, Workers: workers}}, []int{n})
 			if err != nil {
 				t.Fatal(err)
 			}

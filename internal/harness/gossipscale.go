@@ -8,13 +8,13 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/geo"
 	"repro/internal/gossip"
 	"repro/internal/ids"
 	"repro/internal/mobility"
 	"repro/internal/netsim"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 	"repro/internal/vtime"
 )
 
@@ -82,14 +82,8 @@ type GossipScaleConfig struct {
 	// MeasureRounds is the steady tail measured after convergence
 	// (default 4 — one full anti-entropy period at the default knobs).
 	MeasureRounds int
-	// Wave bounds concurrently driven devices per sweep (default 1024).
-	Wave int
-	// DES selects the discrete-event engine; Shards overrides its
-	// shard count (default 8) and Workers its executor count (default
-	// GOMAXPROCS).
-	DES     bool
-	Shards  int
-	Workers int
+	// Engine selects the transport engine.
+	Engine scenario.Engine
 	// Gossip overrides the engine knobs (zero = package defaults).
 	Gossip gossip.Config
 }
@@ -101,14 +95,11 @@ func (c GossipScaleConfig) withDefaults() GossipScaleConfig {
 	if c.MeasureRounds <= 0 {
 		c.MeasureRounds = 4
 	}
-	if c.Wave <= 0 {
-		c.Wave = 1024
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	return c
 }
+
+// gossipScaleWave bounds concurrently driven devices per sweep.
+const gossipScaleWave = 1024
 
 // RunGossipScale measures both modes at each world size.
 func RunGossipScale(cfg GossipScaleConfig, deviceCounts []int) ([]GossipScalePoint, error) {
@@ -160,29 +151,14 @@ type gossipScaleDriver interface {
 
 func runGossipScalePoint(cfg GossipScaleConfig, n int, mode string) (GossipScalePoint, error) {
 	seed := cfg.Seed + int64(n)
-	opts := []radio.Option{radio.WithScale(vtime.NewScale(1e-6))}
-	var sched *des.Scheduler
-	if cfg.DES {
-		sched = des.NewScheduler(seed, cfg.Shards)
-		if cfg.Workers > 0 {
-			sched.SetWorkers(cfg.Workers)
-		}
-		opts = append(opts, radio.WithClock(sched.Clock()))
-	}
-	env := radio.NewEnvironment(opts...)
+	world := scenario.NewWorld(cfg.Engine, seed, radio.WithScale(vtime.NewScale(1e-6)))
+	defer world.Close()
+	env, net := world.Env, world.Net
 	devs, err := placeGossipClusters(env, n, seed)
 	if err != nil {
 		return GossipScalePoint{}, err
 	}
-	var net *netsim.Network
-	if cfg.DES {
-		net = netsim.NewDES(env, seed, sched)
-		sched.Start()
-		defer sched.Stop()
-	} else {
-		net = netsim.New(env, seed)
-	}
-	defer net.Close()
+	world.Start()
 
 	// Pin every neighborhood to the epoch-0 snapshot once: the world is
 	// static, and per-round un-pinned queries would each rebuild the
@@ -195,7 +171,7 @@ func runGossipScalePoint(cfg GossipScaleConfig, n int, mode string) (GossipScale
 	var drv gossipScaleDriver
 	switch mode {
 	case "fanout":
-		drv, err = newGossipScaleFanout(cfg, w)
+		drv, err = newGossipScaleFanout(w)
 	case "gossip":
 		drv, err = newGossipScaleGossip(cfg, w)
 	default:
@@ -205,10 +181,7 @@ func runGossipScalePoint(cfg GossipScaleConfig, n int, mode string) (GossipScale
 		return GossipScalePoint{}, err
 	}
 
-	point := GossipScalePoint{Devices: n, Mode: mode, Engine: "goroutine"}
-	if cfg.DES {
-		point.Engine = "des"
-	}
+	point := GossipScalePoint{Devices: n, Mode: mode, Engine: cfg.Engine.String()}
 	sw := vtime.NewStopwatch(vtime.Real(), vtime.Identity())
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		drv.sweep()
@@ -286,45 +259,18 @@ func gossipScaleRecord(devs []ids.DeviceID, i int) gossip.Record {
 	}
 }
 
-// sweepWave runs fn(i) for every device with at most cfg.Wave drivers
-// in flight.
-func sweepWave(cfg GossipScaleConfig, n int, fn func(i int)) {
-	workers := cfg.Wave
-	if workers > n {
-		workers = n
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
 // gossipScaleFanout is the baseline: every round, every device dials
 // each radio neighbor and pulls its full record — the periodic
 // re-advertisement fan-out. It covers the neighborhood in round one
 // and pays the identical full cost every round after.
 type gossipScaleFanout struct {
-	cfg     GossipScaleConfig
 	w       *gossipScaleWorld
 	mu      sync.Mutex
 	covered []map[ids.DeviceID]bool
 }
 
-func newGossipScaleFanout(cfg GossipScaleConfig, w *gossipScaleWorld) (*gossipScaleFanout, error) {
-	ctx := context.Background()
-	d := &gossipScaleFanout{cfg: cfg, w: w, covered: make([]map[ids.DeviceID]bool, len(w.devs))}
+func newGossipScaleFanout(w *gossipScaleWorld) (*gossipScaleFanout, error) {
+	d := &gossipScaleFanout{w: w, covered: make([]map[ids.DeviceID]bool, len(w.devs))}
 	for i := range d.covered {
 		d.covered[i] = make(map[ids.DeviceID]bool, len(w.neigh[i]))
 	}
@@ -334,32 +280,15 @@ func newGossipScaleFanout(cfg GossipScaleConfig, w *gossipScaleWorld) (*gossipSc
 			return nil, err
 		}
 		frame := gossip.MarshalDelta(gossip.FrameDelta{From: dev, Records: []gossip.Record{gossipScaleRecord(w.devs, i)}})
-		go func() {
-			for {
-				c, err := lis.Accept(ctx)
-				if err != nil {
-					return
-				}
-				go func(c *netsim.Conn) {
-					defer func() { _ = c.Close() }()
-					for {
-						if _, err := c.Recv(ctx); err != nil {
-							return
-						}
-						if c.Send(frame) != nil {
-							return
-						}
-					}
-				}(c)
-			}
-		}()
+		// The loop ends when the world closes the network's listeners.
+		lis.Serve(context.Background(), func(ctx context.Context, c *netsim.Conn) { serveReplies(ctx, c, frame) })
 	}
 	return d, nil
 }
 
 func (d *gossipScaleFanout) sweep() {
 	ctx := context.Background()
-	sweepWave(d.cfg, len(d.w.devs), func(i int) {
+	sweepPool(len(d.w.devs), gossipScaleWave, func(i int) {
 		for _, peer := range d.w.neigh[i] {
 			c, err := d.w.net.Dial(ctx, d.w.devs[i], peer, radio.Bluetooth, "adv")
 			if err != nil {
@@ -396,13 +325,12 @@ func (d *gossipScaleFanout) finish(*GossipScalePoint) {}
 
 // gossipScaleGossip drives the epidemic engine.
 type gossipScaleGossip struct {
-	cfg   GossipScaleConfig
 	w     *gossipScaleWorld
 	nodes []*gossip.Node
 }
 
 func newGossipScaleGossip(cfg GossipScaleConfig, w *gossipScaleWorld) (*gossipScaleGossip, error) {
-	d := &gossipScaleGossip{cfg: cfg, w: w, nodes: make([]*gossip.Node, len(w.devs))}
+	d := &gossipScaleGossip{w: w, nodes: make([]*gossip.Node, len(w.devs))}
 	for i, dev := range w.devs {
 		i, dev := i, dev
 		node, err := gossip.NewNode(gossip.Params{
@@ -427,7 +355,7 @@ func newGossipScaleGossip(cfg GossipScaleConfig, w *gossipScaleWorld) (*gossipSc
 
 func (d *gossipScaleGossip) sweep() {
 	ctx := context.Background()
-	sweepWave(d.cfg, len(d.nodes), func(i int) { d.nodes[i].Round(ctx) })
+	sweepPool(len(d.nodes), gossipScaleWave, func(i int) { d.nodes[i].Round(ctx) })
 }
 
 func (d *gossipScaleGossip) converged() bool {

@@ -64,11 +64,8 @@ type OverloadConfig struct {
 	// DialEvent/SendEvent/RecvEvent chain on the scheduler, so offered
 	// load costs O(1) goroutines at any multiple. The measured observer
 	// stays the blocking client (integrated mode), exactly as in the
-	// DTN and gossip sweeps. Shards overrides the scheduler's shard
-	// count (default 8) and Workers its executor count.
-	DES     bool
-	Shards  int
-	Workers int
+	// DTN and gossip sweeps.
+	Engine scenario.Engine
 }
 
 func (c OverloadConfig) withDefaults() OverloadConfig {
@@ -89,9 +86,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 3
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
 	}
 	return c
 }
@@ -121,17 +115,11 @@ func runOverloadPoint(cfg OverloadConfig, peers, load int) (OverloadPoint, error
 	if peers < 2 {
 		return OverloadPoint{}, fmt.Errorf("need at least two peers")
 	}
-	builder := scenario.NewBuilder().WithScale(cfg.Scale).WithSeed(int64(peers)).
+	builder := newBuilder(cfg.Engine).WithScale(cfg.Scale).WithSeed(int64(peers)).
 		WithServerOptions(community.ServerOptions{
 			MaxSessions: cfg.Capacity,
 			QueueDepth:  cfg.QueueDepth,
 		})
-	if cfg.DES {
-		builder.WithDES(cfg.Shards)
-		if cfg.Workers > 0 {
-			builder.WithDESWorkers(cfg.Workers)
-		}
-	}
 	side := 1 + peers/4
 	for i := 0; i < peers; i++ {
 		builder.AddPeer(scenario.PeerSpec{
@@ -167,10 +155,7 @@ func runOverloadPoint(cfg OverloadConfig, peers, load int) (OverloadPoint, error
 
 	hot := d.MustPeer("peer-0000")
 	hotDev := hot.Daemon.Device()
-	point := OverloadPoint{Devices: peers, Load: load, Capacity: cfg.Capacity, Engine: "goroutine"}
-	if cfg.DES {
-		point.Engine = "des"
-	}
+	point := OverloadPoint{Devices: peers, Load: load, Capacity: cfg.Capacity, Engine: cfg.Engine.String()}
 
 	// Load generator: load×capacity concurrent raw sessions against the
 	// hot server, each pinging in a tight loop and re-dialing whenever
@@ -185,7 +170,7 @@ func runOverloadPoint(cfg OverloadConfig, peers, load int) (OverloadPoint, error
 	}
 	var stopLoad func()
 	ping := community.MarshalRequest(community.Request{Op: community.OpPing})
-	if cfg.DES {
+	if cfg.Engine.DES {
 		stopLoad = startEventLoad(d, offered, gens, hotDev, ping)
 	} else {
 		loadCtx, cancelLoad := context.WithCancel(ctx)

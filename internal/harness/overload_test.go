@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/vtime"
 )
 
@@ -65,7 +66,7 @@ func TestOverloadDESEventLoad(t *testing.T) {
 		Devices: []int{24},
 		Loads:   []int{10},
 		Rounds:  2,
-		DES:     true,
+		Engine:  scenario.Engine{DES: true},
 	}
 	points, err := RunOverload(cfg)
 	if err != nil {

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/ids"
 	"repro/internal/mobility"
+	"repro/internal/netsim"
 	"repro/internal/radio"
 	"repro/internal/scenario"
 	"repro/internal/vtime"
@@ -183,6 +185,51 @@ func placeUniform(env *radio.Environment, n int, seed int64) ([]ids.DeviceID, er
 		}
 	}
 	return devs, nil
+}
+
+// newBuilder starts a deployment description on the given engine.
+func newBuilder(e scenario.Engine) *scenario.Builder {
+	b := scenario.NewBuilder()
+	if e.DES {
+		b.WithDES(e.Shards).WithDESWorkers(e.Workers)
+	}
+	return b
+}
+
+// sweepPool runs fn(i) for every i in [0, n) with at most width calls
+// in flight: the goroutine-driven sweeps' device pool, sized so a
+// sweep never needs one goroutine per device.
+func sweepPool(n, width int, fn func(i int)) {
+	width = min(width, n)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}
+
+// serveReplies answers every message on c with reply until either side
+// fails: the advertisement service of the goroutine-driven sweeps.
+func serveReplies(ctx context.Context, c *netsim.Conn, reply []byte) {
+	for {
+		if _, err := c.Recv(ctx); err != nil {
+			return
+		}
+		if c.Send(reply) != nil {
+			return
+		}
+	}
 }
 
 // geoSide returns the square side holding n devices at ~50 m² each.

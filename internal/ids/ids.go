@@ -68,3 +68,14 @@ func validToken(s string) bool {
 	}
 	return true
 }
+
+// Mix64 is the splitmix64 finalizer (Vigna): a cheap, well-distributed
+// bijection on 64-bit words. It is the one mixer behind the event
+// scheduler's tie-breaks, the fault plane's pure draws and the gossip
+// and DTN seeded rngs, so a draw is a pure function of its inputs.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

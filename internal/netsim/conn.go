@@ -261,6 +261,15 @@ func (c *Conn) send(payload []byte, deadline <-chan time.Time, cancel <-chan str
 	c.mu.Unlock()
 	select {
 	case c.sendQ <- msg:
+		// A close between the check above and this enqueue may already
+		// have stopped the pump and drained its queue; drain again, or
+		// the message's pending count strands and Close's flush waiter
+		// never returns.
+		select {
+		case <-c.closed:
+			c.drainSendQ()
+		default:
+		}
 		return nil
 	case <-c.closed:
 		c.pending.Done()
@@ -481,12 +490,17 @@ func (c *Conn) pump() {
 				c.failBoth(fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
 				return
 			}
+			// Count the delivery before the message can be received, so
+			// a reader that has it never reads counters without it; a
+			// message dropped on close takes its count back.
+			c.net.counters.messagesDelivered.Add(1)
+			c.net.counters.bytesDelivered.Add(uint64(len(msg)))
 			select {
 			case c.peer.recvQ <- msg:
-				c.net.counters.messagesDelivered.Add(1)
-				c.net.counters.bytesDelivered.Add(uint64(len(msg)))
 				c.pending.Done()
 			case <-c.closed:
+				c.net.counters.messagesDelivered.Add(^uint64(0))
+				c.net.counters.bytesDelivered.Add(-uint64(len(msg)))
 				c.pending.Done()
 				return
 			}

@@ -19,12 +19,9 @@ const relayPort = "gprs.relay"
 // proxy→callee), doubling latency relative to a direct link — the
 // structural reason GPRS is the last-resort technology.
 type Proxy struct {
-	net      *Network
-	dev      ids.DeviceID
-	listener *Listener
-
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	net *Network
+	dev ids.DeviceID
+	srv *Server
 
 	mu      sync.Mutex
 	relayed int
@@ -37,11 +34,8 @@ func NewProxy(net *Network, dev ids.DeviceID) (*Proxy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netsim: proxy: %w", err)
 	}
-	p := &Proxy{net: net, dev: dev, listener: listener}
-	ctx, cancel := context.WithCancel(context.Background())
-	p.cancel = cancel
-	p.wg.Add(1)
-	go p.acceptLoop(ctx)
+	p := &Proxy{net: net, dev: dev}
+	p.srv = listener.Serve(context.Background(), p.bridge)
 	return p, nil
 }
 
@@ -57,30 +51,12 @@ func (p *Proxy) Relayed() int {
 
 // Stop shuts the relay down; bridged connections break.
 func (p *Proxy) Stop() {
-	p.cancel()
-	p.listener.Close()
-	p.wg.Wait()
-}
-
-func (p *Proxy) acceptLoop(ctx context.Context) {
-	defer p.wg.Done()
-	for {
-		inbound, err := p.listener.Accept(ctx)
-		if err != nil {
-			return
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.bridge(ctx, inbound)
-		}()
-	}
+	p.srv.Stop()
 }
 
 // bridge reads the CONNECT preamble ("device|port"), dials the target
 // over GPRS, and pipes both directions until either side dies.
 func (p *Proxy) bridge(ctx context.Context, inbound *Conn) {
-	defer func() { _ = inbound.Close() }() // bridge teardown is best-effort
 	preamble, err := inbound.Recv(ctx)
 	if err != nil {
 		return

@@ -110,7 +110,7 @@ type Daemon struct {
 	cancel      context.CancelFunc
 	probeCancel func()
 
-	sdp     *netsim.Listener
+	sdp     *netsim.Server
 	wg      sync.WaitGroup
 	stats   statCounters
 	linkq   linkCounters
@@ -155,9 +155,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peerhood: serving SDP: %w", err)
 	}
-	d.sdp = sdp
-	d.wg.Add(1)
-	go d.serveSDP()
+	d.sdp = sdp.Serve(context.Background(), d.serveSDP)
 	d.listenForProbes()
 	return d, nil
 }
@@ -274,7 +272,7 @@ func (d *Daemon) Stop() {
 	if probeCancel != nil {
 		probeCancel()
 	}
-	d.sdp.Close()
+	d.sdp.Stop()
 	for _, s := range svcs {
 		s.listener.Close()
 	}
@@ -635,30 +633,17 @@ func querySDP(ctx context.Context, conn *netsim.Conn) ([]ServiceDescription, err
 	return decodeServices(resp)
 }
 
-// serveSDP answers LIST requests with the local service registry.
-func (d *Daemon) serveSDP() {
-	defer d.wg.Done()
-	ctx := context.Background()
-	for {
-		conn, err := d.sdp.Accept(ctx)
-		if err != nil {
-			return
-		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer func() { _ = conn.Close() }()
-			env := d.cfg.Network.Environment()
-			reqCtx, cancel := context.WithTimeout(ctx, realTimeout(env, sdpTimeout))
-			defer cancel()
-			req, err := conn.Recv(reqCtx)
-			if err != nil || string(req) != "LIST" {
-				return
-			}
-			d.stats.sdpQueriesServed.Add(1)
-			_ = conn.Send(encodeServices(d.LocalServices()))
-		}()
+// serveSDP answers one LIST request with the local service registry.
+func (d *Daemon) serveSDP(ctx context.Context, conn *netsim.Conn) {
+	env := d.cfg.Network.Environment()
+	reqCtx, cancel := context.WithTimeout(ctx, realTimeout(env, sdpTimeout))
+	defer cancel()
+	req, err := conn.Recv(reqCtx)
+	if err != nil || string(req) != "LIST" {
+		return
 	}
+	d.stats.sdpQueriesServed.Add(1)
+	_ = conn.Send(encodeServices(d.LocalServices()))
 }
 
 // realTimeout converts a modeled guard timeout to real time with a

@@ -65,19 +65,12 @@ type Builder struct {
 	hasSrvOpts bool
 	resilience community.ResilienceOptions
 	hasResil   bool
-	useDES     bool
-	desShards  int
-	desWorkers int
+	engine     Engine
 	useGossip  bool
 	gossipCfg  gossip.Config
 	useDTN     bool
 	dtnCfg     dtn.Config
 }
-
-// desDefaultShards is the event scheduler's shard count when WithDES
-// is given no override; homes are hashed so any count yields the same
-// trace, this only sets the intra-window parallelism.
-const desDefaultShards = 8
 
 // NewBuilder returns a builder with the benchmark-grade default scale
 // (one modeled second per 10 ms).
@@ -141,8 +134,8 @@ func (b *Builder) WithResilience(opts community.ResilienceOptions) *Builder {
 // pass 0 for the default. The goroutine engine remains the default and
 // the differential oracle.
 func (b *Builder) WithDES(shards int) *Builder {
-	b.useDES = true
-	b.desShards = shards
+	b.engine.DES = true
+	b.engine.Shards = shards
 	return b
 }
 
@@ -153,7 +146,7 @@ func (b *Builder) WithDES(shards int) *Builder {
 // only when WithDES is also called; on the goroutine engine it is
 // ignored.
 func (b *Builder) WithDESWorkers(workers int) *Builder {
-	b.desWorkers = workers
+	b.engine.Workers = workers
 	return b
 }
 
@@ -210,6 +203,7 @@ type Deployment struct {
 	Net   *netsim.Network
 	Proxy *netsim.Proxy  // nil unless a GPRS proxy was configured
 	Sched *des.Scheduler // nil unless built WithDES
+	world *World
 	peers map[ids.MemberID]*Peer
 }
 
@@ -222,27 +216,10 @@ func (b *Builder) Build() (*Deployment, error) {
 	for _, phy := range b.phys {
 		opts = append(opts, radio.WithPHY(phy))
 	}
-	var sched *des.Scheduler
-	if b.useDES {
-		shards := b.desShards
-		if shards <= 0 {
-			shards = desDefaultShards
-		}
-		sched = des.NewScheduler(b.seed, shards)
-		if b.desWorkers > 0 {
-			sched.SetWorkers(b.desWorkers)
-		}
-		opts = append(opts, radio.WithClock(sched.Clock()))
-	}
-	env := radio.NewEnvironment(opts...)
-	var net *netsim.Network
-	if sched != nil {
-		net = netsim.NewDES(env, b.seed, sched)
-		sched.Start()
-	} else {
-		net = netsim.New(env, b.seed)
-	}
-	d := &Deployment{Env: env, Net: net, Sched: sched, peers: make(map[ids.MemberID]*Peer, len(b.peers))}
+	w := NewWorld(b.engine, b.seed, opts...)
+	w.Start()
+	env, net := w.Env, w.Net
+	d := &Deployment{Env: env, Net: net, Sched: w.Sched, world: w, peers: make(map[ids.MemberID]*Peer, len(b.peers))}
 
 	if b.gprsProxy != "" {
 		if err := env.Add(b.gprsProxy, mobility.Static{}, radio.GPRS); err != nil {
@@ -454,11 +431,5 @@ func (d *Deployment) Stop() {
 	if d.Proxy != nil {
 		d.Proxy.Stop()
 	}
-	d.Net.Close()
-	// Last: conn teardown above unblocks the deployment's goroutines
-	// through their own error paths; stopping the scheduler then
-	// releases any waiter still parked on its clock.
-	if d.Sched != nil {
-		d.Sched.Stop()
-	}
+	d.world.Close()
 }

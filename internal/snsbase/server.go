@@ -30,9 +30,7 @@ type Server struct {
 	groups   map[string]*group
 	profiles map[string]Profile
 
-	listener *netsim.Listener
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
+	srv *netsim.Server
 }
 
 type group struct {
@@ -80,19 +78,13 @@ func NewServer(net *netsim.Network, dev ids.DeviceID, site SiteProfile) (*Server
 	if err != nil {
 		return nil, fmt.Errorf("snsbase: %w", err)
 	}
-	s.listener = listener
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	s.wg.Add(1)
-	go s.acceptLoop(ctx)
+	s.srv = listener.Serve(context.Background(), s.serve)
 	return s, nil
 }
 
 // Stop shuts the server down.
 func (s *Server) Stop() {
-	s.cancel()
-	s.listener.Close()
-	s.wg.Wait()
+	s.srv.Stop()
 }
 
 // Site returns the server's site profile.
@@ -120,38 +112,26 @@ func (s *Server) SeedProfile(p Profile) {
 	s.profiles[p.Member] = p
 }
 
-func (s *Server) acceptLoop(ctx context.Context) {
-	defer s.wg.Done()
+func (s *Server) serve(ctx context.Context, conn *netsim.Conn) {
 	for {
-		conn, err := s.listener.Accept(ctx)
+		frame, err := conn.Recv(ctx)
 		if err != nil {
 			return
 		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() { _ = conn.Close() }()
-			for {
-				frame, err := conn.Recv(ctx)
-				if err != nil {
-					return
-				}
-				var req request
-				resp := response{Status: "ok"}
-				if err := json.Unmarshal(frame, &req); err != nil {
-					resp.Status = "bad-request"
-				} else {
-					resp = s.handle(req)
-				}
-				out, err := json.Marshal(resp)
-				if err != nil {
-					return
-				}
-				if err := conn.Send(out); err != nil {
-					return
-				}
-			}
-		}()
+		var req request
+		resp := response{Status: "ok"}
+		if err := json.Unmarshal(frame, &req); err != nil {
+			resp.Status = "bad-request"
+		} else {
+			resp = s.handle(req)
+		}
+		out, err := json.Marshal(resp)
+		if err != nil {
+			return
+		}
+		if err := conn.Send(out); err != nil {
+			return
+		}
 	}
 }
 
